@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "attack_state.hpp"
-#include "qdi/campaign/batch_trace_source.hpp"
 #include "qdi/dpa/online.hpp"
 #include "qdi/netlist/graph.hpp"
 #include "qdi/netlist/symmetry.hpp"
@@ -228,6 +227,12 @@ CampaignResult Campaign::run() const {
                     /*force_fused=*/false, t_run);
 }
 
+std::unique_ptr<TraceSource> Campaign::make_source(
+    const TargetInstance& inst) const {
+  return source_ ? source_(inst, opt_)
+                 : make_sim_source(inst.nl, inst.env, inst.stimulus, opt_);
+}
+
 /// `t_run` is the moment the caller started (before target build), so
 /// total_wall_ms keeps covering the whole campaign including netlist
 /// construction.
@@ -259,13 +264,7 @@ CampaignResult Campaign::run_stages(
 
   // ---- acquisition + analysis ----------------------------------------------
   if (num_traces_ > 0) {
-    std::unique_ptr<TraceSource> owned_src =
-        source_ ? source_(inst, opt_)
-        : opt_.engine == sim::EngineKind::Batch
-            ? std::unique_ptr<TraceSource>(std::make_unique<
-                  BatchSimTraceSource>(inst.nl, inst.env, inst.stimulus, opt_))
-            : std::make_unique<SimTraceSource>(inst.nl, inst.env,
-                                               inst.stimulus, opt_);
+    std::unique_ptr<TraceSource> owned_src = make_source(inst);
     // Worker clones (per-thread simulators + scratch) are campaign
     // state: created once and persistent across every segment the
     // acquisition below runs. A sweep hands in its own PoolState so the
@@ -374,7 +373,6 @@ CampaignResult Campaign::run_stages(
     FaultCampaignOptions fo = *faults_;
     fo.delays = opt_.delays;
     fo.engine = opt_.engine;
-    fo.scheduler = opt_.scheduler;
     res.faults =
         run_fault_campaign(inst, key_, fo, seed_, threads_ == 0 ? 1 : threads_);
   }
@@ -388,8 +386,8 @@ namespace {
 
 /// Campaign-configuration fingerprint: ties a shard checkpoint to one
 /// (target, key, seed, budget, shard geometry, attack, trace physics)
-/// tuple. Engine, scheduler, thread count, and checkpoint interval are
-/// deliberately excluded — none of them changes a single trace value
+/// tuple. Engine, thread count, and checkpoint interval are deliberately
+/// excluded — none of them changes a single trace value
 /// (the determinism contract of trace_source.hpp), so a campaign may
 /// resume on a different engine or commit cadence; the shard stream
 /// digest remains the arbiter of trace identity.
@@ -482,13 +480,7 @@ ShardedResult Campaign::sharded(ShardedOptions opt) const {
   for (const PrepareFn& fn : prepare_) fn(inst.nl);
   if (recipe_) recipe_->pipeline.run(inst.nl);
 
-  const std::unique_ptr<TraceSource> src =
-      source_ ? source_(inst, opt_)
-      : opt_.engine == sim::EngineKind::Batch
-          ? std::unique_ptr<TraceSource>(std::make_unique<BatchSimTraceSource>(
-                inst.nl, inst.env, inst.stimulus, opt_))
-          : std::make_unique<SimTraceSource>(inst.nl, inst.env, inst.stimulus,
-                                             opt_);
+  const std::unique_ptr<TraceSource> src = make_source(inst);
 
   const std::size_t shards =
       plan_shards(num_traces_, opt.shards).size();  // after clamping

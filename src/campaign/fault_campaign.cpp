@@ -74,13 +74,10 @@ class FaultTraceSource final : public TraceSource {
       : nl_(&nl),
         spec_(tolerant(std::move(env))),
         plan_(std::move(plan)),
-        compiled_(opt.engine == sim::EngineKind::Compiled
-                      ? (opt.precompiled ? opt.precompiled
-                                         : sim::compile(nl, opt.delays))
-                      : nullptr),
+        compiled_(compile_for_engine(opt.engine, nl, opt.delays,
+                                     opt.precompiled)),
         delays_(opt.delays),
-        scheduler_(opt.scheduler),
-        sim_(make_engine()),
+        sim_(make_scalar_engine(compiled_, nl, delays_)),
         csim_(compiled_ ? static_cast<sim::CompiledSimulator*>(sim_.get())
                         : nullptr),
         env_(*sim_, spec_) {
@@ -107,18 +104,11 @@ class FaultTraceSource final : public TraceSource {
         plan_(other.plan_),
         compiled_(other.compiled_),
         delays_(other.delays_),
-        scheduler_(other.scheduler_),
-        sim_(make_engine()),
+        sim_(make_scalar_engine(compiled_, *nl_, delays_)),
         csim_(compiled_ ? static_cast<sim::CompiledSimulator*>(sim_.get())
                         : nullptr),
         env_(*sim_, spec_) {
     sim_->set_log_enabled(false);
-  }
-
-  std::unique_ptr<sim::SimEngine> make_engine() const {
-    if (compiled_)
-      return std::make_unique<sim::CompiledSimulator>(compiled_, scheduler_);
-    return std::make_unique<sim::Simulator>(*nl_, delays_);
   }
 
   /// Return to the post-reset state. The epoch fast path is invalid
@@ -140,7 +130,6 @@ class FaultTraceSource final : public TraceSource {
   std::shared_ptr<const FaultPlan> plan_;
   std::shared_ptr<const sim::CompiledNetlist> compiled_;
   sim::DelayModel delays_;
-  sim::SchedulerKind scheduler_;
   std::unique_ptr<sim::SimEngine> sim_;
   sim::CompiledSimulator* csim_ = nullptr;
   sim::FourPhaseEnv env_;

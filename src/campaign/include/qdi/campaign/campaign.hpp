@@ -170,14 +170,6 @@ class Campaign {
     return *this;
   }
 
-  /// Event-queue implementation of the compiled kernel: the time wheel
-  /// (default) or the binary heap. Results are bit-identical; the heap
-  /// is kept for differential testing and A/B benchmarking.
-  Campaign& scheduler(sim::SchedulerKind k) {
-    opt_.scheduler = k;
-    return *this;
-  }
-
   Campaign& attack(Dpa a) { attack_ = std::move(a); return *this; }
   Campaign& attack(Cpa a) { attack_ = std::move(a); return *this; }
 
@@ -224,9 +216,9 @@ class Campaign {
   /// (site x kind x time) fault injections over the as-attacked netlist
   /// (post-flow, post-prepare, post-recipe) and classify every run as
   /// deadlock / masked / exploitable (see fault_campaign.hpp). The probe
-  /// inherits the campaign's delay model, engine, and scheduler so it
-  /// exercises exactly the simulated victim; results land in
-  /// CampaignResult::faults and in the sweep comparison table.
+  /// inherits the campaign's delay model and engine so it exercises
+  /// exactly the simulated victim; results land in CampaignResult::faults
+  /// and in the sweep comparison table.
   /// Incompatible with source(): the probe injects into the simulated
   /// netlist, which a custom source bypasses — validate() throws.
   Campaign& faults(FaultCampaignOptions opt = {}) {
@@ -235,7 +227,7 @@ class Campaign {
   }
 
   /// Plug a different TraceSource (cache, replay, hardware bench). The
-  /// default factory builds a SimTraceSource over the prepared netlist.
+  /// default builds make_sim_source over the prepared netlist.
   Campaign& source(SourceFactory f) { source_ = std::move(f); return *this; }
 
   /// Record the true-key rank every `step` traces (0 = off). Uses the
@@ -282,6 +274,9 @@ class Campaign {
   struct PoolState;  ///< sweep-shared WorkerPool + live source (campaign.cpp)
 
   void validate(const TargetInstance& inst) const;
+  /// The campaign's trace source: source() when set, else make_sim_source
+  /// over the prepared instance for the configured engine.
+  std::unique_ptr<TraceSource> make_source(const TargetInstance& inst) const;
   CampaignResult run_stages(
       TargetInstance inst, const xform::Recipe* recipe, PoolState* shared,
       bool force_fused, std::chrono::steady_clock::time_point t_run) const;

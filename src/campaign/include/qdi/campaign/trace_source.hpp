@@ -86,13 +86,6 @@ class TraceSource {
   /// `out = ...` and forgo the buffer reuse.
   virtual void acquire_into(const TraceRequest& req, AcquiredTrace& out) = 0;
 
-  /// Convenience value-returning form of acquire_into.
-  AcquiredTrace acquire_one(const TraceRequest& req) {
-    AcquiredTrace out;
-    acquire_into(req, out);
-    return out;
-  }
-
   /// Natural block size of this source: how many consecutive trace
   /// indices one acquire_block() call acquires at once. 1 for scalar
   /// sources; sim::kBatchLanes for the bit-parallel batch engine. The
@@ -301,11 +294,23 @@ struct SimTraceSourceOptions {
   /// SAME delay model — the source trusts it. Ignored by the reference
   /// engine.
   std::shared_ptr<const sim::CompiledNetlist> precompiled;
-  /// Event-queue implementation of the compiled kernel (ignored by the
-  /// reference engine). Wheel and Heap are bit-identical; the heap is
-  /// kept for differential testing.
-  sim::SchedulerKind scheduler = sim::SchedulerKind::Wheel;
 };
+
+/// Compiled form a scalar simulation-backed source runs: `precompiled`
+/// when given, else a fresh sim::compile(nl, delays), for
+/// EngineKind::Compiled; nullptr for EngineKind::Reference.
+std::shared_ptr<const sim::CompiledNetlist> compile_for_engine(
+    sim::EngineKind engine, const netlist::Netlist& nl,
+    const sim::DelayModel& delays,
+    const std::shared_ptr<const sim::CompiledNetlist>& precompiled);
+
+/// The one scalar engine factory of the campaign layer: the compiled
+/// kernel over `compiled` when it is non-null (see compile_for_engine),
+/// else the reference interpreter over `nl`. Every simulation-backed
+/// source and each of its worker clones builds its engine here.
+std::unique_ptr<sim::SimEngine> make_scalar_engine(
+    const std::shared_ptr<const sim::CompiledNetlist>& compiled,
+    const netlist::Netlist& nl, const sim::DelayModel& delays);
 
 /// TraceSource backed by the event-driven simulator and the four-phase
 /// handshake environment — the reproduction's oscilloscope bench.
@@ -350,5 +355,13 @@ class SimTraceSource final : public TraceSource {
   sim::FourPhaseEnv::CycleResult cyc_;
   std::optional<sim::CompiledSimulator::Epoch> epoch_;  ///< post-reset snapshot
 };
+
+/// The simulation-backed trace source for `opt.engine` — the one place a
+/// campaign picks its acquisition engine: a BatchSimTraceSource for
+/// EngineKind::Batch, a SimTraceSource for the scalar engines.
+std::unique_ptr<TraceSource> make_sim_source(const netlist::Netlist& nl,
+                                             sim::EnvSpec env,
+                                             StimulusFn stimulus,
+                                             SimTraceSourceOptions opt = {});
 
 }  // namespace qdi::campaign

@@ -10,19 +10,36 @@
 #include <thread>
 #include <utility>
 
+#include "qdi/campaign/batch_trace_source.hpp"
+
 namespace qdi::campaign {
 
-namespace {
-
-std::unique_ptr<sim::SimEngine> make_engine(
-    const std::shared_ptr<const sim::CompiledNetlist>& compiled,
-    const netlist::Netlist& nl, const SimTraceSourceOptions& opt) {
-  if (compiled)
-    return std::make_unique<sim::CompiledSimulator>(compiled, opt.scheduler);
-  return std::make_unique<sim::Simulator>(nl, opt.delays);
+std::shared_ptr<const sim::CompiledNetlist> compile_for_engine(
+    sim::EngineKind engine, const netlist::Netlist& nl,
+    const sim::DelayModel& delays,
+    const std::shared_ptr<const sim::CompiledNetlist>& precompiled) {
+  if (engine != sim::EngineKind::Compiled) return nullptr;
+  return precompiled ? precompiled : sim::compile(nl, delays);
 }
 
-}  // namespace
+std::unique_ptr<sim::SimEngine> make_scalar_engine(
+    const std::shared_ptr<const sim::CompiledNetlist>& compiled,
+    const netlist::Netlist& nl, const sim::DelayModel& delays) {
+  if (compiled) return std::make_unique<sim::CompiledSimulator>(compiled);
+  return std::make_unique<sim::Simulator>(nl, delays);
+}
+
+std::unique_ptr<TraceSource> make_sim_source(const netlist::Netlist& nl,
+                                             sim::EnvSpec env,
+                                             StimulusFn stimulus,
+                                             SimTraceSourceOptions opt) {
+  if (opt.engine == sim::EngineKind::Batch)
+    return std::make_unique<BatchSimTraceSource>(nl, std::move(env),
+                                                 std::move(stimulus),
+                                                 std::move(opt));
+  return std::make_unique<SimTraceSource>(nl, std::move(env),
+                                          std::move(stimulus), std::move(opt));
+}
 
 namespace {
 
@@ -43,11 +60,9 @@ SimTraceSource::SimTraceSource(const netlist::Netlist& nl, sim::EnvSpec env,
       spec_(std::move(env)),
       stimulus_(std::move(stimulus)),
       opt_(reject_batch(opt)),
-      compiled_(opt_.engine == sim::EngineKind::Compiled
-                    ? (opt_.precompiled ? opt_.precompiled
-                                        : sim::compile(nl, opt_.delays))
-                    : nullptr),
-      sim_(make_engine(compiled_, nl, opt_)),
+      compiled_(compile_for_engine(opt_.engine, nl, opt_.delays,
+                                   opt_.precompiled)),
+      sim_(make_scalar_engine(compiled_, nl, opt_.delays)),
       csim_(compiled_ ? static_cast<sim::CompiledSimulator*>(sim_.get())
                       : nullptr),
       env_(*sim_, spec_),
@@ -62,7 +77,7 @@ SimTraceSource::SimTraceSource(const SimTraceSource& other, WorkerCloneTag)
       stimulus_(other.stimulus_),
       opt_(other.opt_),
       compiled_(other.compiled_),  // the compiled form is shared read-only
-      sim_(make_engine(compiled_, *nl_, opt_)),
+      sim_(make_scalar_engine(compiled_, *nl_, opt_.delays)),
       csim_(compiled_ ? static_cast<sim::CompiledSimulator*>(sim_.get())
                       : nullptr),
       env_(*sim_, spec_),

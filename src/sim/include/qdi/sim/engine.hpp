@@ -34,16 +34,6 @@ enum class EngineKind {
   Batch,
 };
 
-/// Event-queue implementation of the compiled kernel. Both schedulers
-/// pop events in the exact (t_ps, net, seq) total order, so every trace,
-/// power sample, and campaign result is bit-identical between them —
-/// the heap stays selectable for differential testing
-/// (tests/test_compiled_sim.cpp, tests/test_property_fuzz.cpp).
-enum class SchedulerKind {
-  Wheel,  ///< two-level time wheel (calendar queue), O(1) amortized (default)
-  Heap,   ///< binary min-heap, O(log n) per push/pop
-};
-
 class SimEngine {
  public:
   virtual ~SimEngine() = default;

@@ -1,7 +1,11 @@
 // Tiny leveled logger. Benches and examples use Info; the simulator's
-// hazard diagnostics use Warn. Off by default in tests to keep output
-// clean; controlled globally, not per-translation-unit, so a bench can
+// hazard diagnostics use Warn; ConeBalancePass reports per-round progress
+// at Debug. Controlled globally, not per-translation-unit, so a bench can
 // silence a whole flow with one call.
+//
+// Thread-safe: the level is an atomic, and each line goes out in one
+// stdio call (which locks the stream), so lines from concurrent threads
+// — e.g. FourPhaseEnv warnings on WorkerPool workers — never interleave.
 #pragma once
 
 #include <sstream>
@@ -14,8 +18,7 @@ enum class LogLevel { Debug = 0, Info = 1, Warn = 2, Error = 3, Off = 4 };
 void set_log_level(LogLevel level) noexcept;
 LogLevel log_level() noexcept;
 
-/// Emit one line at the given level (thread-unsafe by design: the library
-/// is single-threaded per experiment; experiments parallelize by process).
+/// Emit one line at the given level (callable from any thread).
 void log_line(LogLevel level, const std::string& msg);
 
 namespace detail {

@@ -1,11 +1,12 @@
 #include "qdi/util/log.hpp"
 
+#include <atomic>
 #include <cstdio>
 
 namespace qdi::util {
 
 namespace {
-LogLevel g_level = LogLevel::Warn;
+std::atomic<LogLevel> g_level{LogLevel::Warn};
 
 const char* level_name(LogLevel level) {
   switch (level) {
@@ -23,7 +24,7 @@ void set_log_level(LogLevel level) noexcept { g_level = level; }
 LogLevel log_level() noexcept { return g_level; }
 
 void log_line(LogLevel level, const std::string& msg) {
-  if (level < g_level) return;
+  if (level < log_level()) return;
   std::fprintf(stderr, "[%s] %s\n", level_name(level), msg.c_str());
 }
 

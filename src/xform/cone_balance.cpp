@@ -62,8 +62,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <sstream>
 #include <unordered_map>
@@ -72,6 +70,7 @@
 
 #include "qdi/netlist/graph.hpp"
 #include "qdi/netlist/symmetry.hpp"
+#include "qdi/util/log.hpp"
 #include "qdi/util/parallel.hpp"
 #include "qdi/xform/passes.hpp"
 
@@ -640,7 +639,6 @@ class Balancer {
     std::vector<ChannelId> worklist(nl_.num_channels());
     for (ChannelId id = 0; id < nl_.num_channels(); ++id) worklist[id] = id;
 
-    const bool trace = std::getenv("QDI_CB_TRACE") != nullptr;
     for (int round = 0; round < opt_.max_rounds && !worklist.empty();
          ++round) {
       const auto tr0 = std::chrono::steady_clock::now();
@@ -683,13 +681,13 @@ class Balancer {
         }
       }
 
-      if (trace) {
-        const double secs = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - tr0)
-                                .count();
-        std::fprintf(stderr, "cone-balance round=%d worklist=%zu clones=%zu %.2fs\n",
-                     round, worklist.size(), rep_.cells_added, secs);
-      }
+      util::log_debug("cone-balance round=", round,
+                      " worklist=", worklist.size(),
+                      " clones=", rep_.cells_added, " ",
+                      std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - tr0)
+                          .count(),
+                      "s");
       if (!changed) break;
       worklist = next_worklist();
     }

@@ -36,13 +36,8 @@ qdi::dpa::TraceSet acquire(const qc::TargetInstance& inst, qs::EngineKind kind,
   opt.engine = kind;
   opt.start_jitter_ps = jitter_ps;
   opt.power.noise_sigma_ua = noise;
-  std::unique_ptr<qc::TraceSource> src;
-  if (kind == qs::EngineKind::Batch)
-    src = std::make_unique<qc::BatchSimTraceSource>(inst.nl, inst.env,
-                                                    inst.stimulus, opt);
-  else
-    src = std::make_unique<qc::SimTraceSource>(inst.nl, inst.env,
-                                               inst.stimulus, opt);
+  const std::unique_ptr<qc::TraceSource> src =
+      qc::make_sim_source(inst.nl, inst.env, inst.stimulus, opt);
   return qc::acquire_batch(*src, n, /*seed=*/42, threads, stats);
 }
 

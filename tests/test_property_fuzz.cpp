@@ -10,9 +10,9 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
-#include "qdi/campaign/batch_trace_source.hpp"
 #include "qdi/campaign/trace_source.hpp"
 #include "qdi/gates/builder.hpp"
 #include "qdi/sim/compiled_simulator.hpp"
@@ -192,51 +192,37 @@ INSTANTIATE_TEST_SUITE_P(RandomDags, FuzzSymmetry,
 
 // ---- scheduler differential fuzz -------------------------------------------
 //
-// The time-wheel and heap schedulers of the compiled kernel must produce
-// identical transition logs on ANY netlist, delay model, stimulus
-// sequence, and epoch save/restore pattern — the (t_ps, net, seq) total order
-// is scheduler-independent by construction, and this fuzz pass pins it
-// across random instances of all four dimensions (plus the reference
-// interpreter as a third witness).
+// The compiled kernel's time wheel must produce the reference
+// interpreter's transition log on ANY netlist, delay model, stimulus
+// sequence, and epoch save/restore pattern — the (t_ps, net, seq) total
+// order is queue-independent by construction, and this fuzz pass pins it
+// across random instances of all four dimensions. The reference has no
+// epochs: after every restore it is rebuilt fresh and replays the
+// stimulus history the restored epoch was saved at. restore_epoch puts
+// back `now` and the event sequence counter, so both engines stay on
+// the same absolute timeline and every cycle is compared.
 
 namespace {
 
-struct SchedulerRun {
-  qs::CompiledSimulator sim;
+/// Reference interpreter at the post-reset state plus a replayed
+/// stimulus history.
+struct ReferenceRun {
+  qs::Simulator sim;
   qs::FourPhaseEnv env;
-  std::vector<qs::CompiledSimulator::Epoch> epochs;
 
-  SchedulerRun(const std::shared_ptr<const qs::CompiledNetlist>& cn,
-               const qs::EnvSpec& spec, qs::SchedulerKind kind)
-      : sim(cn, kind), env(sim, spec) {
-    sim.set_log_enabled(true);
+  ReferenceRun(const Hardware& hw, const qs::DelayModel& dm,
+               const std::vector<std::vector<int>>& history)
+      : sim(hw.nl, dm), env(sim, hw.spec) {
     env.apply_reset();
-    epochs.push_back(sim.save_epoch());
+    for (const std::vector<int>& values : history) env.send(values);
   }
 };
-
-void expect_logs_equal(const qs::CompiledSimulator& a,
-                       const qs::CompiledSimulator& b, std::uint64_t seed,
-                       int cycle) {
-  ASSERT_EQ(a.log().size(), b.log().size())
-      << "seed " << seed << " cycle " << cycle;
-  for (std::size_t i = 0; i < a.log().size(); ++i) {
-    ASSERT_EQ(a.log()[i].t_ps, b.log()[i].t_ps)
-        << "seed " << seed << " cycle " << cycle << " transition " << i;
-    ASSERT_EQ(a.log()[i].net, b.log()[i].net)
-        << "seed " << seed << " cycle " << cycle << " transition " << i;
-    ASSERT_EQ(a.log()[i].rising, b.log()[i].rising)
-        << "seed " << seed << " cycle " << cycle << " transition " << i;
-    ASSERT_EQ(a.log()[i].slew_ps, b.log()[i].slew_ps)
-        << "seed " << seed << " cycle " << cycle << " transition " << i;
-  }
-}
 
 }  // namespace
 
 class FuzzScheduler : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(FuzzScheduler, WheelMatchesHeapOnRandomNetlistsDelaysAndEpochs) {
+TEST_P(FuzzScheduler, WheelMatchesReferenceOnRandomNetlistsDelaysAndEpochs) {
   qu::Rng rng(GetParam() + 7000);
   const int num_inputs = 2 + static_cast<int>(rng.below(3));  // 2..4
   const int num_nodes = 3 + static_cast<int>(rng.below(10));  // 3..12
@@ -253,59 +239,65 @@ TEST_P(FuzzScheduler, WheelMatchesHeapOnRandomNetlistsDelaysAndEpochs) {
   dm.per_ff_ps = rng.uniform(0.0, 12.0);
   dm.slew_base_ps = 1.0 + rng.uniform(0.0, 20.0);
   dm.slew_per_ff_ps = rng.uniform(0.0, 8.0);
-  const auto cn = qs::compile(hw.nl, dm);
 
-  // Reference interpreter as a third witness on the same delay model.
-  qs::Simulator ref(hw.nl, dm);
-  qs::FourPhaseEnv ref_env(ref, hw.spec);
-  ref_env.apply_reset();
+  qs::CompiledSimulator wheel(qs::compile(hw.nl, dm));
+  wheel.set_log_enabled(true);
+  qs::FourPhaseEnv wheel_env(wheel, hw.spec);
+  wheel_env.apply_reset();
 
-  SchedulerRun wheel(cn, hw.spec, qs::SchedulerKind::Wheel);
-  SchedulerRun heap(cn, hw.spec, qs::SchedulerKind::Heap);
+  // Stimulus sent since reset along the wheel's current timeline, and
+  // the history each saved epoch was taken at.
+  std::vector<std::vector<int>> history;
+  std::vector<qs::CompiledSimulator::Epoch> epochs{wheel.save_epoch()};
+  std::vector<std::vector<std::vector<int>>> epoch_history{history};
+  std::optional<ReferenceRun> ref;
+  ref.emplace(hw, dm, history);
 
-  bool ref_in_sync = true;  // until the first rewind diverges the timeline
   for (int cycle = 0; cycle < 24; ++cycle) {
     // Random epoch action: occasionally snapshot the quiescent state or
-    // rewind to a random earlier snapshot (both runs in lockstep).
+    // rewind to a random earlier snapshot.
     const std::uint64_t action = rng.below(8);
     if (action == 0) {
-      wheel.epochs.push_back(wheel.sim.save_epoch());
-      heap.epochs.push_back(heap.sim.save_epoch());
+      epochs.push_back(wheel.save_epoch());
+      epoch_history.push_back(history);
     } else if (action == 1) {
-      const std::size_t k = rng.below(wheel.epochs.size());
-      wheel.sim.restore_epoch(wheel.epochs[k]);
-      heap.sim.restore_epoch(heap.epochs[k]);
-      ref_in_sync = false;
+      const std::size_t k = rng.below(epochs.size());
+      wheel.restore_epoch(epochs[k]);
+      history = epoch_history[k];
+      ref.emplace(hw, dm, history);
+      ASSERT_EQ(ref->sim.now(), wheel.now())
+          << "seed " << GetParam() << " cycle " << cycle;
+      ASSERT_EQ(ref->sim.glitch_count(), wheel.glitch_count())
+          << "seed " << GetParam() << " cycle " << cycle;
     }
 
     std::vector<int> values(static_cast<std::size_t>(num_inputs));
     for (int i = 0; i < num_inputs; ++i)
       values[static_cast<std::size_t>(i)] = static_cast<int>(rng.below(2));
+    history.push_back(values);
 
-    wheel.sim.clear_log();
-    heap.sim.clear_log();
-    const auto wc = wheel.env.send(values);
-    const auto hc = heap.env.send(values);
+    wheel.clear_log();
+    ref->sim.clear_log();
+    const auto wc = wheel_env.send(values);
+    const auto rc = ref->env.send(values);
     ASSERT_TRUE(wc.ok) << "seed " << GetParam() << " cycle " << cycle;
-    ASSERT_TRUE(hc.ok) << "seed " << GetParam() << " cycle " << cycle;
-    ASSERT_EQ(wc.outputs, hc.outputs);
-    ASSERT_EQ(wc.transitions, hc.transitions);
-    expect_logs_equal(wheel.sim, heap.sim, GetParam(), cycle);
-    ASSERT_EQ(wheel.sim.glitch_count(), heap.sim.glitch_count());
-
-    // The reference engine never rewinds; compare against it only while
-    // no restore has diverged the absolute timeline.
-    if (ref_in_sync) {
-      ref.clear_log();
-      const auto rc = ref_env.send(values);
-      ASSERT_TRUE(rc.ok);
-      ASSERT_EQ(rc.outputs, wc.outputs);
-      ASSERT_EQ(ref.log().size(), wheel.sim.log().size());
-      for (std::size_t i = 0; i < ref.log().size(); ++i) {
-        ASSERT_EQ(ref.log()[i].t_ps, wheel.sim.log()[i].t_ps);
-        ASSERT_EQ(ref.log()[i].net, wheel.sim.log()[i].net);
-      }
+    ASSERT_TRUE(rc.ok) << "seed " << GetParam() << " cycle " << cycle;
+    ASSERT_EQ(wc.outputs, rc.outputs);
+    ASSERT_EQ(wc.transitions, rc.transitions);
+    const std::vector<qs::Transition>& a = wheel.log();
+    const std::vector<qs::Transition>& b = ref->sim.log();
+    ASSERT_EQ(a.size(), b.size()) << "seed " << GetParam() << " cycle " << cycle;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      ASSERT_EQ(a[i].t_ps, b[i].t_ps)
+          << "seed " << GetParam() << " cycle " << cycle << " transition " << i;
+      ASSERT_EQ(a[i].net, b[i].net)
+          << "seed " << GetParam() << " cycle " << cycle << " transition " << i;
+      ASSERT_EQ(a[i].rising, b[i].rising)
+          << "seed " << GetParam() << " cycle " << cycle << " transition " << i;
+      ASSERT_EQ(a[i].slew_ps, b[i].slew_ps)
+          << "seed " << GetParam() << " cycle " << cycle << " transition " << i;
     }
+    ASSERT_EQ(wheel.glitch_count(), ref->sim.glitch_count());
   }
 }
 
@@ -315,7 +307,8 @@ INSTANTIATE_TEST_SUITE_P(RandomDags, FuzzScheduler,
 // ---- fault-injection differential fuzz -------------------------------------
 //
 // With a randomly armed fault (site, kind, offset, width all fuzzed) the
-// three engines must still agree transition for transition: the marker
+// compiled kernel must still agree with the reference interpreter
+// transition for transition: the marker
 // events and forced-value suppression are part of the deterministic
 // (t_ps, net, seq) order, whether the faulted cycle completes, stalls, or
 // aborts.
@@ -374,28 +367,24 @@ TEST_P(FuzzFaultInjection, EnginesAgreeUnderRandomFaults) {
       values[static_cast<std::size_t>(i)] = static_cast<int>(rng.below(2));
 
     qs::Simulator ref_sim(hw.nl);
-    qs::CompiledSimulator wheel(cn, qs::SchedulerKind::Wheel);
-    qs::CompiledSimulator heap(cn, qs::SchedulerKind::Heap);
+    qs::CompiledSimulator wheel(cn);
     const Run ref = faulted_cycle(ref_sim, fs, values);
-    for (qs::SimEngine* sim : {static_cast<qs::SimEngine*>(&wheel),
-                               static_cast<qs::SimEngine*>(&heap)}) {
-      const Run got = faulted_cycle(*sim, fs, values);
-      ASSERT_EQ(got.threw, ref.threw)
-          << "seed " << GetParam() << " round " << round;
-      ASSERT_EQ(got.completed, ref.completed)
-          << "seed " << GetParam() << " round " << round;
-      ASSERT_EQ(got.outputs, ref.outputs)
-          << "seed " << GetParam() << " round " << round;
-      ASSERT_EQ(got.log.size(), ref.log.size())
-          << "seed " << GetParam() << " round " << round;
-      for (std::size_t i = 0; i < ref.log.size(); ++i) {
-        ASSERT_EQ(got.log[i].t_ps, ref.log[i].t_ps)
-            << "seed " << GetParam() << " round " << round << " tr " << i;
-        ASSERT_EQ(got.log[i].net, ref.log[i].net)
-            << "seed " << GetParam() << " round " << round << " tr " << i;
-        ASSERT_EQ(got.log[i].rising, ref.log[i].rising)
-            << "seed " << GetParam() << " round " << round << " tr " << i;
-      }
+    const Run got = faulted_cycle(wheel, fs, values);
+    ASSERT_EQ(got.threw, ref.threw)
+        << "seed " << GetParam() << " round " << round;
+    ASSERT_EQ(got.completed, ref.completed)
+        << "seed " << GetParam() << " round " << round;
+    ASSERT_EQ(got.outputs, ref.outputs)
+        << "seed " << GetParam() << " round " << round;
+    ASSERT_EQ(got.log.size(), ref.log.size())
+        << "seed " << GetParam() << " round " << round;
+    for (std::size_t i = 0; i < ref.log.size(); ++i) {
+      ASSERT_EQ(got.log[i].t_ps, ref.log[i].t_ps)
+          << "seed " << GetParam() << " round " << round << " tr " << i;
+      ASSERT_EQ(got.log[i].net, ref.log[i].net)
+          << "seed " << GetParam() << " round " << round << " tr " << i;
+      ASSERT_EQ(got.log[i].rising, ref.log[i].rising)
+          << "seed " << GetParam() << " round " << round << " tr " << i;
     }
   }
 }
@@ -408,13 +397,13 @@ INSTANTIATE_TEST_SUITE_P(RandomDags, FuzzFaultInjection,
 // Three-way witness for the 64-lane batch kernel: on random DAGs, random
 // delay models, and random stimuli, acquisition through the batch engine
 // must be bit-identical (samples, ciphertexts, transition and glitch
-// counts) to BOTH scalar schedulers — at batch sizes that hit a single
+// counts) to BOTH scalar engines — at batch sizes that hit a single
 // lane, a partial block, exactly one full block, and a full block plus a
 // 1-lane tail.
 
 class FuzzBatch : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(FuzzBatch, BatchMatchesWheelAndHeapAtAwkwardBatchSizes) {
+TEST_P(FuzzBatch, BatchMatchesWheelAndReferenceAtAwkwardBatchSizes) {
   namespace qc = qdi::campaign;
   qu::Rng rng(GetParam() + 11000);
   const int num_inputs = 2 + static_cast<int>(rng.below(3));  // 2..4
@@ -444,29 +433,20 @@ TEST_P(FuzzBatch, BatchMatchesWheelAndHeapAtAwkwardBatchSizes) {
     }
   };
 
-  const auto acquire = [&](qs::EngineKind kind, qs::SchedulerKind sched,
-                           std::size_t n) {
+  const auto acquire = [&](qs::EngineKind kind, std::size_t n) {
     qc::SimTraceSourceOptions opt;
     opt.engine = kind;
-    opt.scheduler = sched;
     opt.delays = dm;
-    std::unique_ptr<qc::TraceSource> src;
-    if (kind == qs::EngineKind::Batch)
-      src = std::make_unique<qc::BatchSimTraceSource>(hw.nl, hw.spec, stimulus,
-                                                      opt);
-    else
-      src = std::make_unique<qc::SimTraceSource>(hw.nl, hw.spec, stimulus, opt);
+    const std::unique_ptr<qc::TraceSource> src =
+        qc::make_sim_source(hw.nl, hw.spec, stimulus, opt);
     return qc::acquire_batch(*src, n, /*seed=*/GetParam() + 1, 1, nullptr);
   };
 
   for (const std::size_t n : {std::size_t{1}, std::size_t{63}, std::size_t{64},
                               std::size_t{65}}) {
-    const qdi::dpa::TraceSet wheel =
-        acquire(qs::EngineKind::Compiled, qs::SchedulerKind::Wheel, n);
-    const qdi::dpa::TraceSet heap =
-        acquire(qs::EngineKind::Compiled, qs::SchedulerKind::Heap, n);
-    const qdi::dpa::TraceSet batch =
-        acquire(qs::EngineKind::Batch, qs::SchedulerKind::Wheel, n);
+    const qdi::dpa::TraceSet wheel = acquire(qs::EngineKind::Compiled, n);
+    const qdi::dpa::TraceSet ref = acquire(qs::EngineKind::Reference, n);
+    const qdi::dpa::TraceSet batch = acquire(qs::EngineKind::Batch, n);
     ASSERT_EQ(wheel.size(), n);
     ASSERT_EQ(batch.size(), n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -475,13 +455,13 @@ TEST_P(FuzzBatch, BatchMatchesWheelAndHeapAtAwkwardBatchSizes) {
                              batch.plaintext(i).end()))
           << "seed " << GetParam() << " n " << n << " trace " << i;
       const auto ct = wheel.ciphertext(i);
-      ASSERT_TRUE(std::equal(ct.begin(), ct.end(), heap.ciphertext(i).begin(),
-                             heap.ciphertext(i).end()));
+      ASSERT_TRUE(std::equal(ct.begin(), ct.end(), ref.ciphertext(i).begin(),
+                             ref.ciphertext(i).end()));
       ASSERT_TRUE(std::equal(ct.begin(), ct.end(), batch.ciphertext(i).begin(),
                              batch.ciphertext(i).end()))
           << "seed " << GetParam() << " n " << n << " trace " << i;
       for (std::size_t j = 0; j < wheel.num_samples(); ++j) {
-        ASSERT_EQ(wheel.trace(i)[j], heap.trace(i)[j])
+        ASSERT_EQ(wheel.trace(i)[j], ref.trace(i)[j])
             << "seed " << GetParam() << " n " << n << " trace " << i;
         ASSERT_EQ(wheel.trace(i)[j], batch.trace(i)[j])
             << "seed " << GetParam() << " n " << n << " trace " << i

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 #include <vector>
 
+#include "qdi/util/log.hpp"
 #include "qdi/util/rng.hpp"
 #include "qdi/util/stats.hpp"
 #include "qdi/util/table.hpp"
@@ -179,4 +181,20 @@ TEST(Table, FormatDoubleRespectsPrecision) {
   qu::Table t({"x"});
   t.set_precision(2);
   EXPECT_EQ(t.format_double(1.23456), "1.23");
+}
+
+TEST(Log, LevelIsSafeToSetAndReadAcrossThreads) {
+  // FourPhaseEnv warns from WorkerPool threads while the caller may change
+  // the level; a -fsanitize=thread build checks these accesses for races.
+  const qu::LogLevel saved = qu::log_level();
+  std::vector<std::thread> workers;
+  for (int w = 0; w < 4; ++w)
+    workers.emplace_back([] {
+      for (int i = 0; i < 1000; ++i) qu::log_debug("worker line ", i);
+    });
+  for (int i = 0; i < 1000; ++i)
+    qu::set_log_level(i % 2 == 0 ? qu::LogLevel::Off : qu::LogLevel::Error);
+  for (std::thread& t : workers) t.join();
+  qu::set_log_level(saved);
+  EXPECT_EQ(qu::log_level(), saved);
 }
