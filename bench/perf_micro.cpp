@@ -379,7 +379,7 @@ static const qd::TraceSet& cpa_workload() {
         inst.nl.net(c.rails[1]).cap_ff *= 2.0;
     }
     qdi::campaign::SimTraceSource src(inst.nl, inst.env, inst.stimulus, {});
-    return qdi::campaign::acquire_batch(src, 128, 9);
+    return qdi::campaign::WorkerPool(src, 1).acquire(128, 9);
   }();
   return ts;
 }

@@ -120,47 +120,4 @@ void AttackState::merge_serialized(std::span<const std::uint8_t> bytes) {
     cpa_->merge(*twin.cpa_);
 }
 
-void AttackState::merge(const AttackState& other) {
-  if (dpa_)
-    dpa_->merge(*other.dpa_);
-  else
-    cpa_->merge(*other.cpa_);
-}
-
-void AttackState::reset() noexcept {
-  if (dpa_)
-    dpa_->reset();
-  else
-    cpa_->reset();
-}
-
-void BlockMerge::ingest(std::size_t block, const dpa::TraceSet& segment) {
-  std::unique_ptr<AttackState> st;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!free_.empty()) {
-      st = std::move(free_.back());
-      free_.pop_back();
-    }
-  }
-  if (!st) st = std::make_unique<AttackState>(*attack_, *inst_);
-  st->reset();
-  st->add_rows(segment, 0, segment.size());
-  std::lock_guard<std::mutex> lock(mu_);
-  partials_[block] = std::move(st);
-}
-
-void BlockMerge::merge_into(std::size_t block, AttackState& into) {
-  std::unique_ptr<AttackState> st;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = partials_.find(block);
-    st = std::move(it->second);
-    partials_.erase(it);
-  }
-  into.merge(*st);
-  std::lock_guard<std::mutex> lock(mu_);
-  free_.push_back(std::move(st));
-}
-
 }  // namespace qdi::campaign::detail

@@ -8,11 +8,8 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "qdi/campaign/attack.hpp"
@@ -68,14 +65,6 @@ class AttackState {
   /// dpa::StateError on a bad buffer without disturbing this state.
   void merge_serialized(std::span<const std::uint8_t> bytes);
 
-  /// Fold another live accumulator into this one (the thread-sharded
-  /// ingest path — no serialization round-trip per block).
-  void merge(const AttackState& other);
-
-  /// Drop accumulated traces, keep config/LUT/geometry — lets the
-  /// block-fold ingest recycle one AttackState per in-flight block.
-  void reset() noexcept;
-
  private:
   const TargetInstance* inst_;
   AttackConfig cfg_;  ///< kept for building merge twins
@@ -83,37 +72,6 @@ class AttackState {
   std::optional<Cpa> cpa_cfg_;
   std::optional<dpa::OnlineDpa> dpa_;
   std::optional<dpa::OnlineCpa> cpa_;
-};
-
-/// Per-block partial-accumulator pool for the thread-sharded ingest
-/// (WorkerPool::acquire_sharded_range): worker threads fold one trace
-/// block each into a recycled AttackState (ingest), and the in-order
-/// commit folds that partial into the master accumulator and returns
-/// it to the free list (merge_into). Because merge_into is called in
-/// ascending block order — the pool's commit contract — the master's
-/// final state depends only on the block partition, never on the
-/// thread count or scheduling.
-class BlockMerge {
- public:
-  /// `attack`/`inst` must outlive this object (they parameterize the
-  /// pooled accumulators).
-  BlockMerge(const AttackConfig& attack, const TargetInstance& inst)
-      : attack_(&attack), inst_(&inst) {}
-
-  /// Worker side (any thread): fold all of `segment` into a pooled
-  /// accumulator and file it under `block`.
-  void ingest(std::size_t block, const dpa::TraceSet& segment);
-
-  /// Commit side (ascending block order, serialized by the caller):
-  /// merge block's partial into `into`, recycle the accumulator.
-  void merge_into(std::size_t block, AttackState& into);
-
- private:
-  const AttackConfig* attack_;
-  const TargetInstance* inst_;
-  std::mutex mu_;
-  std::vector<std::unique_ptr<AttackState>> free_;
-  std::unordered_map<std::size_t, std::unique_ptr<AttackState>> partials_;
 };
 
 }  // namespace qdi::campaign::detail

@@ -77,43 +77,6 @@ class StreamingAnalysis {
     state_.add_rows(segment, lo, segment.size());
   }
 
-  /// Checkpoint prefixes as absolute cut positions for the block-fold
-  /// ingest (WorkerPool::acquire_sharded_range's extra_cuts): cutting
-  /// the block partition at every checkpoint guarantees each probe
-  /// fires at exactly its trace count — a checkpoint can end a block
-  /// but never fall inside one.
-  std::vector<std::size_t> checkpoint_cuts() const {
-    std::vector<std::size_t> cuts;
-    cuts.reserve(checkpoints_.size());
-    for (const Checkpoint& cp : checkpoints_) cuts.push_back(cp.n);
-    return cuts;
-  }
-
-  /// Block-fold variant of feed(): probe any degenerate prefix-0
-  /// checkpoints before the first block commits (feed() would have
-  /// probed them before its first row; a block commit only fires after
-  /// a whole block merged).
-  void probe_prefix_zero() {
-    while (next_cp_ < checkpoints_.size() && checkpoints_[next_cp_].n == 0) {
-      probe(checkpoints_[next_cp_]);
-      ++next_cp_;
-    }
-  }
-
-  /// Block-fold variant of feed(): merge block `block` (covering traces
-  /// [first, first + count)) into the master accumulator and fire every
-  /// checkpoint falling at its end. Must be called in ascending block
-  /// order — acquire_sharded_range's commit contract.
-  void commit_block(detail::BlockMerge& blocks, std::size_t block,
-                    std::size_t first, std::size_t count) {
-    blocks.merge_into(block, state_);
-    while (next_cp_ < checkpoints_.size() &&
-           checkpoints_[next_cp_].n <= first + count) {
-      probe(checkpoints_[next_cp_]);
-      ++next_cp_;
-    }
-  }
-
   /// Final attack outcome + the closing rank-trajectory point.
   AttackOutcome finish(std::size_t rank_step,
                        std::vector<RankPoint>& trajectory) {
@@ -189,10 +152,6 @@ void Campaign::validate(const TargetInstance& inst) const {
     throw std::invalid_argument(
         "Campaign: fused() discards traces, so it needs an attack() to "
         "stream them into");
-  if (sharded_ingest_ > 0 && fused_chunk_ == 0)
-    throw std::invalid_argument(
-        "Campaign: sharded_ingest() folds trace blocks into the streaming "
-        "accumulators — it needs fused()");
   if (faults_ && source_)
     throw std::invalid_argument(
         "Campaign: faults() injects into the simulated netlist, which a "
@@ -299,41 +258,14 @@ CampaignResult Campaign::run_stages(
       // the feed share is subtracted back out. finish() runs after the
       // stage clock stops and is attributed to the attack alone.
       double feed_ms = 0.0;
-      if (sharded_ingest_ > 0) {
-        // Block-fold ingest: workers fold their own blocks into pooled
-        // partial accumulators in parallel with acquisition; the
-        // serialized ascending-order commit merges each partial into
-        // the master and fires the rank/MTD probes at exactly their
-        // trace counts (checkpoint prefixes are block cuts). feed_ms
-        // only counts the commit side — the per-block folds overlap
-        // acquisition on the worker threads, so they are already part
-        // of (and hidden inside) the acquisition wall clock.
-        detail::BlockMerge blocks(attack_, inst);
-        analysis.probe_prefix_zero();
-        WorkerPool::ShardedIngest si;
-        si.ingest = [&](unsigned, std::size_t block,
-                        const dpa::TraceSet& segment, std::size_t) {
-          blocks.ingest(block, segment);
-        };
-        si.commit = [&](std::size_t block, const dpa::TraceSet& segment,
-                        std::size_t first) {
-          const auto t_feed = std::chrono::steady_clock::now();
-          analysis.commit_block(blocks, block, first, segment.size());
-          feed_ms += ms_since(t_feed);
-        };
-        pool.acquire_sharded_range(0, num_traces_, seed_, sharded_ingest_,
-                                   analysis.checkpoint_cuts(), si,
-                                   &res.acquisition);
-      } else {
-        pool.acquire_chunked(
-            num_traces_, seed_, fused_chunk,
-            [&](const dpa::TraceSet& segment, std::size_t first) {
-              const auto t_feed = std::chrono::steady_clock::now();
-              analysis.feed(segment, first);
-              feed_ms += ms_since(t_feed);
-            },
-            &res.acquisition);
-      }
+      pool.acquire_chunked(
+          num_traces_, seed_, fused_chunk,
+          [&](const dpa::TraceSet& segment, std::size_t first) {
+            const auto t_feed = std::chrono::steady_clock::now();
+            analysis.feed(segment, first);
+            feed_ms += ms_since(t_feed);
+          },
+          &res.acquisition);
       const auto t_finish = std::chrono::steady_clock::now();
       AttackOutcome out = analysis.finish(rank_step_, res.rank_trajectory);
       out.wall_ms = feed_ms + ms_since(t_finish);
@@ -385,30 +317,39 @@ CampaignResult Campaign::run_stages(
 namespace {
 
 /// Campaign-configuration fingerprint: ties a shard checkpoint to one
-/// (target, key, seed, budget, shard geometry, attack, trace physics)
-/// tuple. Engine, thread count, and checkpoint interval are deliberately
-/// excluded — none of them changes a single trace value
+/// (target, victim netlist, key, seed, budget, shard geometry, attack,
+/// trace physics) tuple. The netlist enters as attacked — after flow,
+/// prepare hooks and recipe — through everything sim::compile and power
+/// synthesis read: cell kinds, connectivity, delay jitter and per-net
+/// capacitance. Engine, thread count, and checkpoint interval are
+/// deliberately excluded — none of them changes a single trace value
 /// (the determinism contract of trace_source.hpp), so a campaign may
 /// resume on a different engine or commit cadence; the shard stream
 /// digest remains the arbiter of trace identity.
-/// `ingest_block` is ShardedOptions::ingest_block_traces. It enters the
-/// fingerprint ONLY when non-zero: the block-fold changes the
-/// accumulator's FP reduction order, so its checkpoints must never be
-/// adopted by a serial run (or by a run with a different block width) —
-/// while every pre-existing serial fingerprint stays byte-identical.
 std::uint64_t config_fingerprint(const TargetInstance& inst, std::uint64_t key,
                                  std::uint64_t seed, std::size_t num_traces,
                                  std::size_t shards, const AttackConfig& attack,
-                                 const SimTraceSourceOptions& opt,
-                                 std::size_t ingest_block) {
+                                 const SimTraceSourceOptions& opt) {
   util::Sha256 h;
   const auto str = [&](std::string_view s) {
     h.update_u64(s.size());
     h.update(s.data(), s.size());
   };
   const auto f64 = [&](double v) { h.update(&v, sizeof(v)); };
-  str("qdi-sharded-campaign-v1");
+  str("qdi-sharded-campaign-v2");
   str(inst.name);
+  const netlist::Netlist& nl = inst.nl;
+  h.update_u64(nl.num_cells());
+  for (netlist::CellId c = 0; c < nl.num_cells(); ++c) {
+    const netlist::Cell& cell = nl.cell(c);
+    h.update_u64(static_cast<std::uint64_t>(cell.kind));
+    h.update_u64(cell.inputs.size());
+    for (netlist::NetId in : cell.inputs) h.update_u64(in);
+    h.update_u64(cell.output);
+    f64(cell.delay_jitter_ps);
+  }
+  h.update_u64(nl.num_nets());
+  for (netlist::NetId n = 0; n < nl.num_nets(); ++n) f64(nl.net(n).cap_ff);
   h.update_u64(key);
   h.update_u64(seed);
   h.update_u64(num_traces);
@@ -437,10 +378,6 @@ std::uint64_t config_fingerprint(const TargetInstance& inst, std::uint64_t key,
   f64(opt.power.fall_weight);
   f64(opt.power.noise_sigma_ua);
   f64(opt.start_jitter_ps);
-  if (ingest_block > 0) {
-    str("block-fold-ingest");
-    h.update_u64(ingest_block);
-  }
   const std::array<std::uint8_t, 32> d = h.digest();
   std::uint64_t v = 0;
   for (int i = 0; i < 8; ++i)
@@ -489,7 +426,7 @@ ShardedResult Campaign::sharded(ShardedOptions opt) const {
   cfg.attack = &attack_;
   cfg.primary = src.get();
   cfg.fingerprint = config_fingerprint(inst, key_, seed_, num_traces_, shards,
-                                       attack_, opt_, opt.ingest_block_traces);
+                                       attack_, opt_);
   cfg.seed = seed_;
   cfg.num_traces = num_traces_;
   cfg.threads = static_cast<unsigned>(

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -278,31 +279,34 @@ FaultCampaignResult run_fault_campaign(const TargetInstance& inst,
   const std::size_t out_bytes = (inst.env.outputs.size() + 7) / 8;
   FaultTraceSource src(inst.nl, inst.env, plan, opt);
   WorkerPool pool(src, threads == 0 ? 1 : threads);
-  pool.acquire_each(
-      runs, seed, /*chunk=*/256,
-      [&](std::size_t index, const AcquiredTrace& rec) {
-        const Injection& inj = plan->injections[index / opt.repeats];
-        FaultRecord r;
-        r.net = inj.net;
-        r.kind = inj.kind;
-        r.t_offset_ps = inj.t_offset_ps;
-        r.plaintext = rec.plaintext.empty() ? 0 : rec.plaintext[0];
-        r.faulty = rec.ciphertext[0];
-        r.golden = rec.ciphertext[out_bytes];
-        r.cls = decode_class(rec.fault_class);
-        r.stalled_phase = decode_phase(rec.fault_class);
-        switch (r.cls) {
-          case FaultClass::Deadlock: ++res.summary.deadlock; break;
-          case FaultClass::Masked: ++res.summary.masked; break;
-          case FaultClass::Exploitable:
-            ++res.summary.exploitable;
-            // Multi-byte outputs would need a wider DfaPair; the slice
-            // targets (the DFA-bearing ones) are single-byte.
-            res.pairs.push_back({r.plaintext, r.golden, r.faulty});
-            break;
+  pool.acquire_segments(
+      0, runs, seed, /*chunk=*/256,
+      [&](std::span<const AcquiredTrace> records, std::size_t first) {
+        for (std::size_t k = 0; k < records.size(); ++k) {
+          const AcquiredTrace& rec = records[k];
+          const Injection& inj = plan->injections[(first + k) / opt.repeats];
+          FaultRecord r;
+          r.net = inj.net;
+          r.kind = inj.kind;
+          r.t_offset_ps = inj.t_offset_ps;
+          r.plaintext = rec.plaintext.empty() ? 0 : rec.plaintext[0];
+          r.faulty = rec.ciphertext[0];
+          r.golden = rec.ciphertext[out_bytes];
+          r.cls = decode_class(rec.fault_class);
+          r.stalled_phase = decode_phase(rec.fault_class);
+          switch (r.cls) {
+            case FaultClass::Deadlock: ++res.summary.deadlock; break;
+            case FaultClass::Masked: ++res.summary.masked; break;
+            case FaultClass::Exploitable:
+              ++res.summary.exploitable;
+              // Multi-byte outputs would need a wider DfaPair; the slice
+              // targets (the DFA-bearing ones) are single-byte.
+              res.pairs.push_back({r.plaintext, r.golden, r.faulty});
+              break;
+          }
+          ++res.summary.runs;
+          res.records.push_back(r);
         }
-        ++res.summary.runs;
-        res.records.push_back(r);
       });
 
   if (opt.run_dfa && inst.dfa && inst.num_guesses > 0 && !res.pairs.empty())

@@ -181,34 +181,14 @@ class Campaign {
   /// materializing a TraceSet. Attack results, MTD, and the rank
   /// trajectory are bit-identical to the materialized path (both run
   /// the same accumulators in the same order; asserted in
-  /// tests/test_online_analysis.cpp). Requires attack(); the result's
+  /// tests/test_online_analysis.cpp). Workers only acquire; the segments
+  /// are ingested in index order on the calling thread, so results are
+  /// also bit-identical for any thread count (FusedCampaign in
+  /// tests/test_dpa_kernels.cpp). Requires attack(); the result's
   /// `traces` stays empty. A chunk of 0 is clamped to 1 — asking for
   /// fused mode must never silently fall back to materializing.
   Campaign& fused(std::size_t chunk_traces = 1024) {
     fused_chunk_ = chunk_traces == 0 ? 1 : chunk_traces;
-    return *this;
-  }
-
-  /// Thread-sharded fused ingest: partition the trace stream into
-  /// fixed-width blocks keyed by absolute trace index, fold each block
-  /// into a pooled partial accumulator on whichever worker acquired it,
-  /// and merge the partials into the master accumulator in ascending
-  /// block order (WorkerPool::acquire_sharded_range +
-  /// dpa::OnlineCpa/OnlineDpa::merge). Analysis now scales with the
-  /// acquisition threads, and because the block partition is keyed by
-  /// absolute trace index the outcome depends only on `block_traces`,
-  /// never on the thread count or scheduling
-  /// (tests/test_dpa_kernels.cpp). The block fold changes the FP
-  /// reduction order relative to the serial fused stream (merge() adds
-  /// per-block sums where the stream adds traces one by one), so
-  /// results match run()'s serial fused path to ~1e-12 rather than
-  /// bitwise — which is why this is opt-in rather than implied by
-  /// threads(). Requires fused(); rank/MTD checkpoints are preserved
-  /// exactly (checkpoint prefixes become additional block cuts, so
-  /// every probe still fires at its exact trace count). 0 disables
-  /// (the default, serial in-order feeding).
-  Campaign& sharded_ingest(std::size_t block_traces = 256) {
-    sharded_ingest_ = block_traces;
     return *this;
   }
 
@@ -295,7 +275,6 @@ class Campaign {
   SourceFactory source_;
   std::size_t rank_step_ = 0;
   std::size_t fused_chunk_ = 0;  ///< 0 = materialize a TraceSet (default)
-  std::size_t sharded_ingest_ = 0;  ///< block width; 0 = serial fused feed
 };
 
 }  // namespace qdi::campaign

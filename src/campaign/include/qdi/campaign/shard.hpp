@@ -2,11 +2,13 @@
 //
 // A sharded campaign partitions the trace budget [0, N) into contiguous
 // per-shard index ranges and runs the fused acquire-and-attack loop of
-// each shard independently over the persistent WorkerPool machinery.
-// Because every trace's randomness is keyed by (seed, trace index) —
-// the determinism contract of trace_source.hpp — the partition is a
-// scheduling choice, never an observable one: shard k acquires exactly
-// the traces a monolithic run would have fed at indices [lo_k, hi_k).
+// each shard independently: a WorkerPool acquires each window's traces
+// chunk by chunk, and the shard feeds them into its accumulator and
+// stream digest in index order. Because every trace's randomness is
+// keyed by (seed, trace index) — the determinism contract of
+// trace_source.hpp — neither the partition nor the thread count is
+// observable: shard k acquires exactly the traces a monolithic run
+// would have fed at indices [lo_k, hi_k).
 //
 // Crash safety comes from durable checkpoints (checkpoint.hpp): each
 // shard commits its accumulator state, committed trace index, and
@@ -82,21 +84,6 @@ struct ShardedOptions {
   /// Acquisition chunk within a window (cancel/progress granularity;
   /// never observable in results).
   std::size_t chunk_traces = 256;
-  /// Thread-sharded window ingest: when > 0, each checkpoint window's
-  /// traces are partitioned into blocks of this width (cut at absolute
-  /// multiples of the trace index), folded into pooled partial
-  /// accumulators on the acquiring workers, and merged into the shard
-  /// accumulator in ascending block order
-  /// (WorkerPool::acquire_sharded_range). The stream digest is fed
-  /// trace by trace at commit time, so it stays bit-identical to the
-  /// serial path; the accumulator's FP reduction order changes (merge()
-  /// adds block sums where the serial feed adds traces, ~1e-12 apart),
-  /// which is why Campaign::sharded() extends the configuration
-  /// fingerprint when this is enabled — a block-fold run never adopts a
-  /// serial run's checkpoints or vice versa. Results are independent of
-  /// the thread count either way. 0 = serial in-order feeding (the
-  /// default).
-  std::size_t ingest_block_traces = 0;
   /// Shards in flight at once. Each running shard drives its own
   /// WorkerPool of `threads` workers.
   unsigned concurrency = 1;
@@ -185,8 +172,9 @@ struct CoordinatorConfig {
   /// Cloned once per shard attempt (plus per-worker clones inside each
   /// attempt's pool).
   const TraceSource* primary = nullptr;
-  /// Identity of (target, key, seed, budget, geometry, attack, engine):
-  /// ties checkpoints to this configuration.
+  /// Identity of (target, as-attacked netlist, key, seed, budget,
+  /// geometry, attack, trace physics): ties checkpoints to this
+  /// configuration.
   std::uint64_t fingerprint = 0;
   std::uint64_t seed = 1;
   std::size_t num_traces = 0;

@@ -27,6 +27,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -115,10 +116,9 @@ struct AcquisitionStats {
   double traces_per_s = 0.0;
   std::size_t transitions = 0;  ///< summed over all traces
   std::size_t glitches = 0;     ///< summed over all traces
-  /// Filled by WorkerPool::acquire/acquire_batch only; the chunked
-  /// streaming path leaves it empty (a per-trace vector would grow with
-  /// the trace budget and break the fused campaign's bounded-memory
-  /// contract).
+  /// Filled by WorkerPool::acquire only; the streaming entry points
+  /// leave it empty (a per-trace vector would grow with the trace
+  /// budget and break the fused campaign's bounded-memory contract).
   std::vector<std::size_t> per_trace_transitions;
   unsigned threads_used = 1;
 };
@@ -133,8 +133,20 @@ struct AcquisitionStats {
 /// simulation dwarfs thread start-up at campaign batch sizes, and the
 /// in-order barrier between segments is what makes the feed order (and
 /// hence all accumulator results) independent of the thread count.
+///
+/// Every entry point runs through acquire_segments — the one loop that
+/// fans out, times, and counts; the others only assemble its records
+/// into TraceSets.
 class WorkerPool {
  public:
+  /// Consumer of one acquired segment: `records[k]` is trace
+  /// `first + k`, in index order. The records are the pool's reused
+  /// scratch slots, valid only for the duration of the call.
+  using SegmentFn = std::function<void(std::span<const AcquiredTrace> records,
+                                       std::size_t first)>;
+  using TraceSetFn =
+      std::function<void(const dpa::TraceSet& segment, std::size_t first)>;
+
   /// `src` must outlive the pool. `threads` counts `src` itself.
   WorkerPool(TraceSource& src, unsigned threads);
 
@@ -155,8 +167,20 @@ class WorkerPool {
   /// built over; when that netlist dies before the pool does (a sweep
   /// variant's instance is consumed by its CampaignResult), unbinding
   /// keeps the pool from holding dangling sources between variants.
-  /// acquire/acquire_chunked are invalid until the next rebind().
+  /// No acquire call is valid until the next rebind().
   void unbind() noexcept;
+
+  /// The acquisition loop: traces [first_index, first_index + count) of
+  /// campaign `seed`, acquired `chunk` at a time (fanned out over the
+  /// workers in blocks of the source's batch_width) and handed to
+  /// `consume` one segment at a time, in ascending index order. Record
+  /// values are bit-identical for any thread count, chunk size, or range
+  /// partition (the determinism contract above). `stats` counts every
+  /// trace and times the whole call, consume() included.
+  void acquire_segments(std::size_t first_index, std::size_t count,
+                        std::uint64_t seed, std::size_t chunk,
+                        const SegmentFn& consume,
+                        AcquisitionStats* stats = nullptr);
 
   /// Batched acquisition into a fresh TraceSet, assembled in index
   /// order; bit-identical for any thread count (determinism contract).
@@ -168,77 +192,20 @@ class WorkerPool {
   /// consume() call from one reused segment buffer (cleared, capacity
   /// kept); consumers must copy anything they keep. Trace values are
   /// bit-identical to acquire() for any thread count and chunk size.
-  void acquire_chunked(
-      std::size_t num_traces, std::uint64_t seed, std::size_t chunk,
-      const std::function<void(const dpa::TraceSet& segment,
-                               std::size_t first)>& consume,
-      AcquisitionStats* stats = nullptr);
+  void acquire_chunked(std::size_t num_traces, std::uint64_t seed,
+                       std::size_t chunk, const TraceSetFn& consume,
+                       AcquisitionStats* stats = nullptr);
 
   /// Ranged form of acquire_chunked: stream traces [first, first + count)
   /// of campaign `seed` — the feed of one campaign shard, whose range
-  /// does not start at 0. Trace values are bit-identical to acquire()/
-  /// acquire_chunked() on the same indices for any thread count, chunk
-  /// size, or range partition (the determinism contract above).
-  /// acquire_chunked(n, ...) is exactly acquire_chunked_range(0, n, ...).
-  void acquire_chunked_range(
-      std::size_t first_index, std::size_t count, std::uint64_t seed,
-      std::size_t chunk,
-      const std::function<void(const dpa::TraceSet& segment,
-                               std::size_t first)>& consume,
-      AcquisitionStats* stats = nullptr);
-
-  /// Chunked acquisition delivering the raw AcquiredTrace records, in
-  /// index order, without assembling a power-trace matrix — the feed of
-  /// the fault campaign, whose records carry classifications and
-  /// ciphertexts but no interesting power samples. Same determinism
-  /// contract as acquire()/acquire_chunked(): consume(i, rec) sees
-  /// record i bit-identical for any thread count or chunk size.
-  void acquire_each(
-      std::size_t num_traces, std::uint64_t seed, std::size_t chunk,
-      const std::function<void(std::size_t index, const AcquiredTrace& rec)>&
-          consume,
-      AcquisitionStats* stats = nullptr);
-
-  /// Consumer pair of acquire_sharded_range. `ingest` runs on worker
-  /// threads — one call per block, unordered ACROSS blocks (any one
-  /// worker's calls are serialized on its thread); it must only touch
-  /// per-worker or per-block state. `commit` is serialized in strictly
-  /// ascending block order (on whichever worker thread completed the
-  /// frontier block) — this is where results are folded into shared
-  /// state. Both see the block's assembled segment and the absolute
-  /// index of its first trace; the segment is a recycled buffer, valid
-  /// only for the duration of the call.
-  struct ShardedIngest {
-    std::function<void(unsigned worker, std::size_t block,
-                       const dpa::TraceSet& segment, std::size_t first)>
-        ingest;
-    std::function<void(std::size_t block, const dpa::TraceSet& segment,
-                       std::size_t first)>
-        commit;
-  };
-
-  /// Thread-sharded streaming acquisition: traces [first_index,
-  /// first_index + count) are partitioned into blocks cut at ABSOLUTE
-  /// multiples of `block_traces` plus the caller's `extra_cuts`
-  /// (absolute trace indices — analysis checkpoint positions land on
-  /// block edges this way). Workers claim blocks in ascending order,
-  /// acquire and `ingest` them concurrently, and `commit` replays every
-  /// block in ascending block-index order. The partition depends only
-  /// on (range, block_traces, extra_cuts) — never on the thread count
-  /// or scheduling — so a consumer that folds per-block partials into
-  /// shared state at commit time produces BIT-IDENTICAL results at any
-  /// thread count, and a killed/resumed range re-derives the identical
-  /// blocks. In-flight blocks are bounded (a few per worker), keeping
-  /// memory O(threads · block) however far the fast workers run ahead.
-  void acquire_sharded_range(std::size_t first_index, std::size_t count,
-                             std::uint64_t seed, std::size_t block_traces,
-                             const std::vector<std::size_t>& extra_cuts,
-                             const ShardedIngest& consumer,
+  /// does not start at 0. acquire_chunked(n, ...) is exactly
+  /// acquire_chunked_range(0, n, ...).
+  void acquire_chunked_range(std::size_t first_index, std::size_t count,
+                             std::uint64_t seed, std::size_t chunk,
+                             const TraceSetFn& consume,
                              AcquisitionStats* stats = nullptr);
 
  private:
-  void acquire_range(std::size_t lo, std::size_t hi, std::uint64_t seed);
-
   TraceSource* src_;
   std::size_t worker_clones_ = 0;  ///< clone count restored by rebind()
   std::vector<std::unique_ptr<TraceSource>> clones_;
@@ -250,27 +217,7 @@ class WorkerPool {
   /// campaign's steady state, and every sweep step after the first) run
   /// without reallocating the segment.
   dpa::TraceSet chunk_buf_;
-  /// acquire_sharded_range scratch, persistent across calls (the shard
-  /// runtime issues one call per checkpoint window): per-worker
-  /// AcquiredTrace slots plus a free list of recycled block segments.
-  std::vector<std::vector<AcquiredTrace>> sharded_scratch_;
-  std::vector<std::unique_ptr<dpa::TraceSet>> sharded_segments_;
 };
-
-/// One-shot batched acquisition over a transient WorkerPool. Kept as the
-/// convenience entry point; callers that acquire repeatedly (benches,
-/// multi-batch campaigns) should hold a WorkerPool instead.
-dpa::TraceSet acquire_batch(TraceSource& src, std::size_t num_traces,
-                            std::uint64_t seed, unsigned threads = 1,
-                            AcquisitionStats* stats = nullptr);
-
-/// One-shot chunked acquisition over a transient WorkerPool.
-void acquire_chunked(
-    TraceSource& src, std::size_t num_traces, std::uint64_t seed,
-    unsigned threads, std::size_t chunk,
-    const std::function<void(const dpa::TraceSet& segment, std::size_t first)>&
-        consume,
-    AcquisitionStats* stats = nullptr);
 
 struct SimTraceSourceOptions {
   sim::DelayModel delays{};

@@ -150,62 +150,26 @@ ShardRunner::Outcome ShardRunner::run(std::atomic<std::uint64_t>* progress,
                        ": stall watchdog cancelled the attempt");
   };
 
-  // Block-fold ingest (opt-in): pooled partial accumulators shared
-  // across every window of this attempt, so steady state allocates
-  // nothing per block.
-  std::optional<detail::BlockMerge> blocks;
-  if (opt_.ingest_block_traces > 0) blocks.emplace(*cfg_.attack, *cfg_.inst);
-
   while (next < spec_.hi) {
     check_cancel();
-    // Window boundaries only decide where commits land; accumulation is
-    // strictly index-ordered either way (serial feed, or block commits
-    // in ascending index order), so the partition is never observable
-    // in the sums of its own mode.
+    // Window boundaries only decide where commits land; accumulation
+    // is strictly index-ordered, so the partition is never observable
+    // in the sums.
     const std::uint64_t window_end =
         std::min<std::uint64_t>(spec_.hi, next + interval);
-    if (blocks) {
-      // Workers fold their blocks into pooled partials in parallel with
-      // acquisition; the serialized ascending-order commit chains the
-      // stream digest (trace-ordered, so bit-identical to the serial
-      // path) and merges each partial into the shard accumulator.
-      // Window boundaries are deterministic, so a resumed attempt
-      // re-partitions the open window identically and stays
-      // bit-identical to an uninterrupted block-fold run.
-      WorkerPool::ShardedIngest si;
-      si.ingest = [&](unsigned, std::size_t block,
-                      const dpa::TraceSet& segment, std::size_t) {
-        check_cancel();
-        blocks->ingest(block, segment);
-      };
-      si.commit = [&](std::size_t block, const dpa::TraceSet& segment,
-                      std::size_t first) {
-        feed_stream_digest(stream, segment, first);
-        blocks->merge_into(block, acc);
-        if (progress != nullptr)
-          progress->fetch_add(segment.size(), std::memory_order_relaxed);
-        if (opt_.on_progress)
-          opt_.on_progress(spec_.shard, first + segment.size());
-      };
-      pool.acquire_sharded_range(
-          static_cast<std::size_t>(next),
-          static_cast<std::size_t>(window_end - next), cfg_.seed,
-          opt_.ingest_block_traces, {}, si);
-    } else {
-      pool.acquire_chunked_range(
-          static_cast<std::size_t>(next),
-          static_cast<std::size_t>(window_end - next), cfg_.seed,
-          opt_.chunk_traces,
-          [&](const dpa::TraceSet& segment, std::size_t first) {
-            check_cancel();
-            feed_stream_digest(stream, segment, first);
-            acc.add_rows(segment, 0, segment.size());
-            if (progress != nullptr)
-              progress->fetch_add(segment.size(), std::memory_order_relaxed);
-            if (opt_.on_progress)
-              opt_.on_progress(spec_.shard, first + segment.size());
-          });
-    }
+    pool.acquire_chunked_range(
+        static_cast<std::size_t>(next),
+        static_cast<std::size_t>(window_end - next), cfg_.seed,
+        opt_.chunk_traces,
+        [&](const dpa::TraceSet& segment, std::size_t first) {
+          check_cancel();
+          feed_stream_digest(stream, segment, first);
+          acc.add_rows(segment, 0, segment.size());
+          if (progress != nullptr)
+            progress->fetch_add(segment.size(), std::memory_order_relaxed);
+          if (opt_.on_progress)
+            opt_.on_progress(spec_.shard, first + segment.size());
+        });
     next = window_end;
     ShardCheckpoint c;
     c.fingerprint = cfg_.fingerprint;

@@ -140,9 +140,8 @@ class OnlineCpa {
   void restore_state(std::span<const std::uint8_t> bytes);
 
   /// Drop all accumulated traces but keep the model, LUT, and (once
-  /// fixed) the sample geometry and capacity — lets the thread-sharded
-  /// campaign feed recycle one accumulator per block with zero
-  /// steady-state allocation.
+  /// fixed) the sample geometry and capacity — lets a caller reuse one
+  /// accumulator across runs with zero steady-state allocation.
   void reset() noexcept;
 
   /// Pin a specific kernel arm (differential-testing seam; production

@@ -38,7 +38,7 @@ qdi::dpa::TraceSet acquire(const qc::TargetInstance& inst, qs::EngineKind kind,
   opt.power.noise_sigma_ua = noise;
   const std::unique_ptr<qc::TraceSource> src =
       qc::make_sim_source(inst.nl, inst.env, inst.stimulus, opt);
-  return qc::acquire_batch(*src, n, /*seed=*/42, threads, stats);
+  return qc::WorkerPool(*src, threads).acquire(n, /*seed=*/42, stats);
 }
 
 void expect_bit_identical(const qdi::dpa::TraceSet& a,

@@ -1,4 +1,4 @@
-// SIMD analysis-kernel dispatch and thread-sharded accumulation.
+// SIMD analysis-kernel dispatch and fused-campaign thread invariance.
 //
 //  * every SIMD arm the host supports (SSE2, AVX2) is fuzzed against
 //    the portable arm over awkward geometries — odd sample counts,
@@ -9,20 +9,14 @@
 //  * the cached per-sample variance scan is invalidated by
 //    ingest/merge/restore (a stale cache would poison every prefix
 //    probe after the first);
-//  * Campaign::sharded_ingest block-fold results are bit-identical
-//    across thread counts (the block partition, not the scheduling,
-//    determines the fold order) and match the serial fused path to
-//    1e-12, with rank/MTD probes firing at exactly their trace counts;
-//  * ShardedOptions::ingest_block_traces reproduces the serial sharded
-//    runtime's per-shard stream digests exactly (the digest is fed
-//    trace-ordered either way) while its fingerprint extension keeps
-//    the two modes' checkpoints from cross-adopting.
+//  * a fused campaign (partial final chunk, rank and MTD probes) is
+//    bit-identical at 1, 2 and 3 acquisition threads: workers only
+//    acquire, and ingest stays index-ordered on the calling thread.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -249,15 +243,13 @@ TEST(KernelArms, ResetDropsTracesKeepsGeometry) {
   EXPECT_EQ(dacc.serialize_state(), dfresh.serialize_state());
 }
 
-// ---- thread-sharded accumulation (campaign block-fold) ---------------------
+// ---- fused campaign thread invariance --------------------------------------
 
 namespace {
 
-/// Leakage amplifier shared by the campaign tests below: skew one rail
-/// of the sbox output channels so the CPA signal is real (a perfectly
-/// balanced victim correlates at noise level ~1e-7, where the
-/// serial-vs-block 1e-12 comparison would be dominated by catastrophic
-/// cancellation in the covariance, not by the property under test).
+/// Leakage amplifier: skew one rail of the sbox output channels so the
+/// CPA signal is real and the rank trajectory and MTD scan have an
+/// actual key to find.
 void skew_sbox_rails(qdi::netlist::Netlist& nl) {
   for (qdi::netlist::ChannelId ch = 0; ch < nl.num_channels(); ++ch) {
     const qdi::netlist::Channel& c = nl.channel(ch);
@@ -267,24 +259,22 @@ void skew_sbox_rails(qdi::netlist::Netlist& nl) {
   }
 }
 
-qc::CampaignResult run_fused_campaign(unsigned threads,
-                                      std::size_t sharded_block) {
+qc::CampaignResult run_fused_campaign(unsigned threads) {
   qc::Cpa cfg;
   cfg.compute_mtd = true;
   cfg.mtd_start = 30;
   cfg.mtd_step = 30;
-  qc::Campaign c;
-  c.target(qc::aes_byte_slice())
+  return qc::Campaign()
+      .target(qc::aes_byte_slice())
       .key(0x3c)
       .seed(77)
-      .traces(130)  // NOT a multiple of the block width: partial final block
+      .traces(130)  // NOT a multiple of the chunk: partial final chunk
       .threads(threads)
       .prepare(skew_sbox_rails)
       .attack(cfg)
       .rank_trajectory(50)
-      .fused(64);
-  if (sharded_block > 0) c.sharded_ingest(sharded_block);
-  return c.run();
+      .fused(64)
+      .run();
 }
 
 void expect_bitwise_equal(const qc::CampaignResult& a,
@@ -308,168 +298,10 @@ void expect_bitwise_equal(const qc::CampaignResult& a,
 
 }  // namespace
 
-TEST(ShardedIngest, ResultsBitIdenticalAcrossThreadCounts) {
-  const qc::CampaignResult one = run_fused_campaign(1, 32);
-  const qc::CampaignResult two = run_fused_campaign(2, 32);
-  const qc::CampaignResult three = run_fused_campaign(3, 32);
+TEST(FusedCampaign, ResultsBitIdenticalAcrossThreadCounts) {
+  const qc::CampaignResult one = run_fused_campaign(1);
+  const qc::CampaignResult two = run_fused_campaign(2);
+  const qc::CampaignResult three = run_fused_campaign(3);
   expect_bitwise_equal(one, two);
   expect_bitwise_equal(one, three);
-}
-
-TEST(ShardedIngest, MatchesSerialFusedWithinFpReassociation) {
-  const qc::CampaignResult serial = run_fused_campaign(2, 0);
-  const qc::CampaignResult block = run_fused_campaign(2, 32);
-  ASSERT_TRUE(serial.attack && block.attack);
-  // The block fold re-associates the sums (merge adds block sums where
-  // the serial feed adds traces); the correlation's covariance step
-  // amplifies that ~1e-15-relative sum perturbation by its cancellation
-  // factor, so the end-to-end score tolerance is 1e-10 (the raw
-  // accumulator sums agree to 1e-12 — test_online_merge.cpp) — and
-  // every discrete outcome agrees exactly.
-  EXPECT_EQ(serial.attack->best_guess, block.attack->best_guess);
-  EXPECT_EQ(serial.attack->true_key_rank, block.attack->true_key_rank);
-  EXPECT_EQ(serial.attack->mtd, block.attack->mtd);
-  ASSERT_EQ(serial.attack->guess_scores.size(),
-            block.attack->guess_scores.size());
-  for (std::size_t g = 0; g < serial.attack->guess_scores.size(); ++g)
-    EXPECT_NEAR(serial.attack->guess_scores[g], block.attack->guess_scores[g],
-                1e-10)
-        << "g=" << g;
-  ASSERT_EQ(serial.rank_trajectory.size(), block.rank_trajectory.size());
-  for (std::size_t i = 0; i < serial.rank_trajectory.size(); ++i) {
-    EXPECT_EQ(serial.rank_trajectory[i].traces, block.rank_trajectory[i].traces);
-    EXPECT_EQ(serial.rank_trajectory[i].rank, block.rank_trajectory[i].rank);
-  }
-}
-
-TEST(ShardedIngest, RequiresFused) {
-  qc::Campaign c;
-  c.target(qc::aes_byte_slice())
-      .traces(32)
-      .attack(qc::Cpa{})
-      .sharded_ingest(16);  // no fused(): nowhere to fold blocks into
-  EXPECT_THROW(c.run(), std::invalid_argument);
-}
-
-// ---- thread-sharded accumulation (sharded runtime) -------------------------
-
-namespace {
-
-std::string fresh_dir(const std::string& name) {
-  const std::string dir = "kernel_ckpt_tests/" + name;
-  for (std::size_t s = 0; s < 8; ++s) {
-    std::remove(qc::checkpoint_path(dir, s).c_str());
-    std::remove(qc::checkpoint_prev_path(dir, s).c_str());
-  }
-  return dir;
-}
-
-qc::ShardedResult run_sharded(unsigned threads, std::size_t ingest_block,
-                              const std::string& dir) {
-  qc::ShardedOptions opt;
-  opt.shards = 2;
-  opt.checkpoint_interval = 48;
-  opt.checkpoint_dir = dir;
-  opt.chunk_traces = 16;
-  opt.ingest_block_traces = ingest_block;
-  qc::Cpa cfg;
-  cfg.compute_mtd = true;
-  cfg.mtd_start = 40;
-  cfg.mtd_step = 40;
-  return qc::Campaign()
-      .target(qc::aes_byte_slice())
-      .key(0x3c)
-      .seed(9)
-      .traces(110)  // 2 shards of 55: partial blocks and windows everywhere
-      .threads(threads)
-      .prepare(skew_sbox_rails)
-      .attack(cfg)
-      .sharded(opt);
-}
-
-}  // namespace
-
-TEST(ShardedIngest, ShardRuntimeDigestsMatchSerialAndThreadsDontMatter) {
-  const qc::ShardedResult serial =
-      run_sharded(2, 0, fresh_dir("serial"));
-  const qc::ShardedResult block2 =
-      run_sharded(2, 32, fresh_dir("block_t2"));
-  const qc::ShardedResult block3 =
-      run_sharded(3, 32, fresh_dir("block_t3"));
-  ASSERT_TRUE(serial.complete());
-  ASSERT_TRUE(block2.complete());
-  ASSERT_TRUE(block3.complete());
-
-  // The stream digest is fed trace by trace in index order in BOTH
-  // modes, so it is bit-identical — the strongest possible witness that
-  // the block-fold acquired exactly the serial trace stream.
-  ASSERT_EQ(serial.shards.size(), block2.shards.size());
-  for (std::size_t s = 0; s < serial.shards.size(); ++s) {
-    EXPECT_EQ(serial.shards[s].digest_hex, block2.shards[s].digest_hex);
-    EXPECT_EQ(block2.shards[s].digest_hex, block3.shards[s].digest_hex);
-  }
-
-  // Accumulator results: bit-identical across thread counts, 1e-12
-  // against the serial fold.
-  ASSERT_TRUE(serial.attack && block2.attack && block3.attack);
-  EXPECT_EQ(block2.attack->best_score, block3.attack->best_score);
-  for (std::size_t g = 0; g < block2.attack->guess_scores.size(); ++g) {
-    EXPECT_EQ(block2.attack->guess_scores[g], block3.attack->guess_scores[g]);
-    EXPECT_NEAR(serial.attack->guess_scores[g],
-                block2.attack->guess_scores[g], 1e-12);
-  }
-  EXPECT_EQ(serial.attack->best_guess, block2.attack->best_guess);
-  EXPECT_EQ(serial.attack->true_key_rank, block2.attack->true_key_rank);
-}
-
-TEST(ShardedIngest, BlockFoldResumeIsBitIdentical) {
-  // Kill the first run after its first durable commit (the on_commit
-  // hook throws with max_attempts=1), then resume: the resumed
-  // block-fold run must be bit-identical to an uninterrupted one.
-  const std::string dir = fresh_dir("resume");
-  const std::string dir_ref = fresh_dir("resume_ref");
-  const qc::ShardedResult ref = [&] {
-    return run_sharded(2, 32, dir_ref);
-  }();
-
-  qc::ShardedOptions opt;
-  opt.shards = 2;
-  opt.checkpoint_interval = 48;
-  opt.checkpoint_dir = dir;
-  opt.chunk_traces = 16;
-  opt.ingest_block_traces = 32;
-  opt.max_attempts = 1;
-  unsigned commits = 0;
-  opt.on_commit = [&](std::size_t, std::uint64_t) {
-    if (++commits == 1) throw std::runtime_error("injected crash");
-  };
-  qc::Cpa cfg;
-  cfg.compute_mtd = true;
-  cfg.mtd_start = 40;
-  cfg.mtd_step = 40;
-  const auto campaign = [&] {
-    return qc::Campaign()
-        .target(qc::aes_byte_slice())
-        .key(0x3c)
-        .seed(9)
-        .traces(110)
-        .threads(2)
-        .prepare(skew_sbox_rails)
-        .attack(cfg);
-  };
-  const qc::ShardedResult crashed = campaign().sharded(opt);
-  EXPECT_LT(crashed.covered, crashed.total_traces);
-
-  qc::ShardedOptions resume = opt;
-  resume.on_commit = nullptr;
-  resume.max_attempts = 3;
-  const qc::ShardedResult resumed = campaign().sharded(resume);
-  ASSERT_TRUE(resumed.complete());
-  ASSERT_TRUE(resumed.attack && ref.attack);
-  EXPECT_EQ(resumed.attack->best_score, ref.attack->best_score);
-  for (std::size_t g = 0; g < ref.attack->guess_scores.size(); ++g)
-    EXPECT_EQ(resumed.attack->guess_scores[g], ref.attack->guess_scores[g]);
-  ASSERT_EQ(resumed.shards.size(), ref.shards.size());
-  for (std::size_t s = 0; s < ref.shards.size(); ++s)
-    EXPECT_EQ(resumed.shards[s].digest_hex, ref.shards[s].digest_hex);
 }

@@ -338,22 +338,24 @@ TEST(TraceSetSoA, SelfAppendThroughViewsIsSafe) {
 TEST(AcquireChunked, SegmentsAreBitIdenticalToBatch) {
   const qc::TargetInstance inst = qc::des_sbox_slice().build(0x11);
   qc::SimTraceSource batch_src(inst.nl, inst.env, inst.stimulus, {});
-  const qd::TraceSet batch = qc::acquire_batch(batch_src, 23, 77);
+  const qd::TraceSet batch = qc::WorkerPool(batch_src, 1).acquire(23, 77);
 
   qc::SimTraceSource chunk_src(inst.nl, inst.env, inst.stimulus, {});
   std::size_t seen = 0;
-  qc::acquire_chunked(chunk_src, 23, 77, /*threads=*/2, /*chunk=*/7,
-                      [&](const qd::TraceSet& seg, std::size_t first) {
-                        EXPECT_EQ(first, seen);
-                        for (std::size_t k = 0; k < seg.size(); ++k) {
-                          const std::size_t i = first + k;
-                          ASSERT_EQ(seg.plaintext(k)[0], batch.plaintext(i)[0]);
-                          for (std::size_t j = 0; j < seg.num_samples(); ++j)
-                            ASSERT_EQ(seg.trace(k)[j], batch.trace(i)[j])
-                                << "trace " << i << " sample " << j;
-                        }
-                        seen += seg.size();
-                      });
+  qc::WorkerPool(chunk_src, /*threads=*/2)
+      .acquire_chunked(23, 77, /*chunk=*/7,
+                       [&](const qd::TraceSet& seg, std::size_t first) {
+                         EXPECT_EQ(first, seen);
+                         for (std::size_t k = 0; k < seg.size(); ++k) {
+                           const std::size_t i = first + k;
+                           ASSERT_EQ(seg.plaintext(k)[0],
+                                     batch.plaintext(i)[0]);
+                           for (std::size_t j = 0; j < seg.num_samples(); ++j)
+                             ASSERT_EQ(seg.trace(k)[j], batch.trace(i)[j])
+                                 << "trace " << i << " sample " << j;
+                         }
+                         seen += seg.size();
+                       });
   EXPECT_EQ(seen, batch.size());
 }
 

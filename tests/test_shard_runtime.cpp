@@ -387,6 +387,10 @@ TEST(ShardedRun, RepeatRunsAreBitIdenticalAndResumeFromCompleteCheckpoints) {
   const qc::ShardedResult a = base_campaign().sharded(base_opts(dir_a));
   const qc::ShardedResult b = base_campaign().sharded(base_opts(dir_b));
   expect_identical(a, b);
+  // Nor is the acquisition thread count observable.
+  const qc::ShardedResult t3 = base_campaign(qs::EngineKind::Compiled, 3)
+                                   .sharded(base_opts(fresh_dir("repeat_t3")));
+  expect_identical(a, t3);
 
   // Re-running over the completed checkpoint store re-adopts the final
   // records without re-acquiring anything, bit-identically.
@@ -546,6 +550,33 @@ TEST(ShardedCrash, ForeignFingerprintCheckpointsAreRejectedNotMerged) {
     EXPECT_TRUE(s.resumed_from.empty());
   }
   expect_identical(fresh, res);
+}
+
+TEST(ShardedCrash, VictimNetlistChangeRejectsCheckpoints) {
+  // Same target, key, seed and budget, but a different as-attacked
+  // netlist (a countermeasure recipe, or a prepare hook editing one
+  // net's capacitance): the unprotected run's checkpoints must be
+  // rejected by name, and each result must equal a fresh-directory run.
+  const auto bump_cap = [](qdi::netlist::Netlist& nl) {
+    nl.net(nl.channel(0).rails[1]).cap_ff += 5.0;
+  };
+  const std::vector<qc::Campaign> variants = {
+      base_campaign().recipe(qdi::xform::hardened()),
+      base_campaign().prepare(bump_cap)};
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    SCOPED_TRACE("variant " + std::to_string(v));
+    const qc::ShardedResult fresh = variants[v].sharded(
+        base_opts(fresh_dir("victim_fresh_" + std::to_string(v))));
+    const std::string dir = fresh_dir("victim");
+    base_campaign().sharded(base_opts(dir));
+    const qc::ShardedResult res = variants[v].sharded(base_opts(dir));
+    EXPECT_TRUE(res.complete());
+    for (const qc::ShardReport& s : res.shards) {
+      EXPECT_NE(s.recovery.find("fingerprint mismatch"), std::string::npos);
+      EXPECT_TRUE(s.resumed_from.empty());
+    }
+    expect_identical(fresh, res);
+  }
 }
 
 // ---- stall watchdog --------------------------------------------------------
