@@ -26,11 +26,11 @@ namespace qdi::dpa {
 /// Leakage model: maps (plaintext, guess) to a predicted real-valued
 /// leakage (e.g. Hamming weight of an intermediate).
 ///
-/// Like SelectionFn, an IndexedFn: the classic models declare
-/// themselves byte-indexed — a pure function of ONE plaintext byte and
-/// the guess — so the streaming engine tabulates model(v, g) over all
-/// 256 byte values once and never calls a std::function per trace.
-/// Models built from plain lambdas take the generic scalar path.
+/// Like SelectionFn, an IndexedFn: every model is a pure function of
+/// ONE plaintext byte and the guess (built with
+/// LeakageModel::byte_indexed()), so the streaming engine tabulates
+/// model(v, g) over all 256 byte values once and never calls a
+/// std::function per trace.
 using LeakageModel = IndexedFn<double>;
 
 /// Hamming weight of SBOX(plaintext[byte] ^ guess).

@@ -2,20 +2,21 @@
 //
 // The ingest hot loops of dpa::OnlineCpa / dpa::OnlineDpa (per-sample
 // moments, the guesses x m rank update, the DPA partitioned sums) and
-// the finalize-side covariance scans are factored into this table of
-// function pointers with portable, SSE2, and AVX2 arms. The arm is
-// picked ONCE at load via util::cpu_features() — the same pattern as
-// util::Sha256's SHA-NI compressor — and QDI_FORCE_PORTABLE pins the
-// portable arm everywhere.
+// the finalize-side correlation scan are factored into this table of
+// function pointers with two arms. The portable arm is the oracle and
+// the production arm on CPUs without AVX2; the AVX2 arm is the
+// production arm everywhere else. The arm is picked ONCE at load via
+// util::cpu_features() — the same pattern as util::Sha256's SHA-NI
+// compressor — and QDI_FORCE_PORTABLE pins the portable arm everywhere.
 //
 // Determinism contract (why the arms are interchangeable): every
 // kernel vectorizes over the SAMPLE axis j only. Each accumulator cell
 // (g, j) still receives its contributions in strict trace order, one
 // rounding per add and one per multiply (mul-then-add, never FMA —
-// the arms exclude "fma" from their target sets so the compiler cannot
-// contract), and the scalar tail performs the identical operations on
-// the identical values. There is no reassociation anywhere, so the
-// SSE2 and AVX2 arms are BIT-IDENTICAL to the portable arm — a
+// the AVX2 arm excludes "fma" from its target set so the compiler
+// cannot contract), and the scalar tail performs the identical
+// operations on the identical values. There is no reassociation
+// anywhere, so the AVX2 arm is BIT-IDENTICAL to the portable arm — a
 // property tests/test_dpa_kernels.cpp asserts on awkward geometries
 // rather than assumes.
 #pragma once
@@ -27,7 +28,7 @@ namespace qdi::dpa::kernels {
 /// One implementation of every analysis hot loop. All pointers are
 /// non-null in any table returned by table() / active().
 struct KernelTable {
-  const char* name;  ///< "portable" / "sse2" / "avx2"
+  const char* name;  ///< "portable" / "avx2"
 
   /// CPA per-sample moments: for each trace c in order,
   /// sum_s[j] += s[j]; sum_s2[j] += s[j]*s[j].
@@ -54,13 +55,6 @@ struct KernelTable {
   void (*masked_sum)(double* dst, const double* const* rows,
                      const double* mask, std::size_t cnt, std::size_t m);
 
-  /// var[j] = sum_s2[j] - sum_s[j] * (sum_s[j] / nn) is NOT what we
-  /// compute — the scan keeps the engine's historical expression
-  /// var[j] = sum_s2[j] - sum_s[j] * sum_s[j] / nn (mul, then divide,
-  /// then subtract) so cached variances match the pre-kernel bits.
-  void (*variance)(double* var, const double* sum_s, const double* sum_s2,
-                   double nn, std::size_t m);
-
   /// Signed correlation scan for one guess over a sample range:
   /// cov = hs[j] - sum_h * sum_s[j] / nn;
   /// rho[j] = var_s[j] > 0.0 ? cov / sqrt(var_h * var_s[j]) : 0.0.
@@ -72,17 +66,17 @@ struct KernelTable {
                     double nn, std::size_t m);
 };
 
-enum class Kind { Portable, Sse2, Avx2 };
+enum class Kind { Portable, Avx2 };
 
 /// True when this build/CPU can run the given arm (Portable: always).
 bool supported(Kind k) noexcept;
 
 /// The named arm, or nullptr when unsupported on this build/CPU.
-/// Differential tests use this to pit the arms against each other.
+/// Differential tests use this to pit the two arms against each other.
 const KernelTable* table(Kind k) noexcept;
 
-/// The arm every accumulator uses by default: the widest supported
-/// one, picked once at load; QDI_FORCE_PORTABLE pins Portable.
+/// The arm every accumulator uses by default: AVX2 when supported,
+/// picked once at load; QDI_FORCE_PORTABLE pins Portable.
 const KernelTable& active() noexcept;
 
 }  // namespace qdi::dpa::kernels

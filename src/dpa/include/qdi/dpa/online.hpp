@@ -12,26 +12,25 @@
 // and update them per added trace with a blocked, GEMM-like rank-B
 // kernel over the contiguous SoA trace matrix. The per-sample sums are
 // computed ONCE instead of once per guess (the batch path re-derived
-// them 256 times), and the classic byte-indexed leakage models become a
-// 256-entry-per-guess hypothesis LUT — no std::function call ever runs
-// on the per-trace hot path. Models/selections built from plain lambdas
-// still work: they take a scalar evaluation per (trace, guess), but the
-// shared sums stay hoisted.
+// them 256 times), and every model and selection — each reads one
+// plaintext byte — becomes a 256-entry-per-guess LUT, so no
+// std::function call ever runs on the per-trace hot path.
 //
 // finalize()/recover() read the running sums without disturbing them,
 // so measurements-to-disclosure curves and key-rank trajectories are
 // byproducts of one pass: add traces up to each probe point, emit, and
 // keep going — O(n·m·guesses) total instead of O(prefixes·n·m·guesses).
-// Accumulation order is trace order regardless of blocking, so add()
-// one-at-a-time, add_prefix() in bulk, and the fused campaign's chunked
-// feed all produce bit-identical results.
+// add_prefix() is the one ingest entry point. Accumulation order is
+// trace order regardless of blocking, so one-row add_prefix() calls,
+// one bulk call, and the fused campaign's chunked feed all produce
+// bit-identical results.
 //
-// The hot loops themselves live in qdi/dpa/kernels.hpp: a table of
-// portable / SSE2 / AVX2 implementations picked once at load. Every
-// arm vectorizes over the sample axis only — each accumulator cell
-// receives contributions in trace order with no reassociation and no
-// FMA contraction — so the dispatch choice (and QDI_FORCE_PORTABLE)
-// never changes a single result bit.
+// The hot loops themselves live in qdi/dpa/kernels.hpp: a table with a
+// portable and an AVX2 arm, picked once at load. Both arms vectorize
+// over the sample axis only — each accumulator cell receives
+// contributions in trace order with no reassociation and no FMA
+// contraction — so the dispatch choice (and QDI_FORCE_PORTABLE) never
+// changes a single result bit.
 #pragma once
 
 #include <cstdint>
@@ -94,13 +93,13 @@ class MtdScan {
 /// All-guess streaming CPA accumulator.
 class OnlineCpa {
  public:
-  /// The hypothesis LUT (byte-indexed models) is tabulated here, once.
+  /// The hypothesis LUT is tabulated here, once.
   OnlineCpa(LeakageModel model, unsigned num_guesses);
 
-  /// Feed one acquisition. Sample geometry is fixed by the first trace.
-  void add(std::span<const std::uint8_t> plaintext,
-           std::span<const double> samples);
   /// Feed rows [lo, hi) of a trace set through the blocked kernel.
+  /// Sample geometry is fixed by the first call. Throws
+  /// std::invalid_argument when the model's plaintext byte lies outside
+  /// the set's plaintext stride, or the sample count changed.
   void add_prefix(const TraceSet& ts, std::size_t lo, std::size_t hi);
 
   std::size_t count() const noexcept { return n_; }
@@ -147,17 +146,11 @@ class OnlineCpa {
   /// Pin a specific kernel arm (differential-testing seam; production
   /// accumulators keep the load-time kernels::active() pick). The arms
   /// are bit-identical, so this never changes results.
-  void set_kernels(const kernels::KernelTable& k) noexcept {
-    kernels_ = &k;
-    var_valid_ = false;
-  }
+  void set_kernels(const kernels::KernelTable& k) noexcept { kernels_ = &k; }
   const char* kernel_name() const noexcept { return kernels_->name; }
 
  private:
   void ensure_geometry(std::size_t m);
-  /// Hypothesis row h[g] for one trace: a LUT row (byte-indexed) or the
-  /// freshly evaluated scratch row (generic).
-  const double* hyp_row(std::span<const std::uint8_t> plaintext);
   void ingest(const double* const* rows, const double* const* hyp,
               std::size_t cnt);
   /// The cached per-sample variance scan shared by finalize() and
@@ -170,8 +163,7 @@ class OnlineCpa {
   const kernels::KernelTable* kernels_ = &kernels::active();
   std::size_t m_ = 0;
   std::size_t n_ = 0;
-  std::vector<double> lut_;       ///< hyp[v*guesses + g], byte-indexed models
-  std::vector<double> scratch_;   ///< one hypothesis row, generic models
+  std::vector<double> lut_;       ///< hyp[v*guesses + g]
   std::vector<double> sum_s_, sum_s2_;  ///< per sample, shared by all guesses
   std::vector<double> sum_h_, sum_h2_;  ///< per guess
   std::vector<double> sum_hs_;          ///< guesses × m
@@ -185,8 +177,8 @@ class OnlineDpa {
  public:
   OnlineDpa(std::vector<SelectionFn> bits, unsigned num_guesses);
 
-  void add(std::span<const std::uint8_t> plaintext,
-           std::span<const double> samples);
+  /// Feed rows [lo, hi); see OnlineCpa::add_prefix (here every
+  /// selection bit's plaintext byte is checked).
   void add_prefix(const TraceSet& ts, std::size_t lo, std::size_t hi);
 
   std::size_t count() const noexcept { return n_; }
@@ -214,7 +206,8 @@ class OnlineDpa {
 
   /// State snapshot / restore; see OnlineCpa (same StateError contract:
   /// malformed buffers are rejected wholesale, the accumulator keeps its
-  /// prior state). restore_state() requires the same selection bits and
+  /// prior state; a set-1 count above the trace count is a Geometry
+  /// error). restore_state() requires the same selection bits and
   /// num_guesses at construction.
   std::vector<std::uint8_t> serialize_state() const;
   void restore_state(std::span<const std::uint8_t> bytes);
@@ -238,9 +231,7 @@ class OnlineDpa {
   const kernels::KernelTable* kernels_ = &kernels::active();
   std::size_t m_ = 0;
   std::size_t n_ = 0;
-  bool lut_ok_ = false;          ///< all selection bits byte-indexed
   std::vector<double> lut_;      ///< d[(b*256 + v)*guesses + g] in {0.0, 1.0}
-  std::vector<double> scratch_;  ///< one decision row, generic selections
   std::vector<double> sum_s_;       ///< per sample, shared
   std::vector<std::uint32_t> n1_;   ///< bits × guesses
   std::vector<double> sum1_;        ///< bits × guesses × m

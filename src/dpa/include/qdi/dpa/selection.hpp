@@ -6,12 +6,12 @@
 // A selection function maps (plaintext, key guess) to the predicted value
 // of one intermediate bit; DPA splits the trace set on that bit (eq. 7).
 //
-// SelectionFn is an IndexedFn rather than a bare std::function so that
-// the classic D-functions can declare what they actually are: a pure
-// function of ONE plaintext byte and the guess — which the streaming
-// engine (dpa::OnlineDpa) turns into a per-guess decision table with no
-// std::function call on the per-trace hot path. A SelectionFn built
-// from a plain lambda still works everywhere.
+// SelectionFn is an IndexedFn rather than a bare std::function: every
+// D-function declares what it actually is, a pure function of ONE
+// plaintext byte and the guess, which the streaming engine
+// (dpa::OnlineDpa) turns into a per-guess decision table with no
+// std::function call on the per-trace hot path. Custom selections are
+// built with SelectionFn::byte_indexed().
 #pragma once
 
 #include "qdi/dpa/indexed_fn.hpp"

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 namespace qdi::dpa {
 
@@ -13,6 +14,16 @@ namespace {
 /// Traces per rank-B kernel invocation. Small enough that a block of
 /// sample rows stays cache-resident while every guess sweeps it.
 constexpr std::size_t kBlock = 16;
+
+/// A predictor reads plaintext[byte] of every row; past the set's
+/// plaintext stride that would be the next trace's bytes.
+void check_byte(const char* who, int byte, std::size_t stride) {
+  if (byte < 0 || static_cast<std::size_t>(byte) >= stride)
+    throw std::invalid_argument(
+        std::string(who) + ": predictor reads plaintext byte " +
+        std::to_string(byte) + " but the trace set's plaintext stride is " +
+        std::to_string(stride) + " bytes");
+}
 
 void window_stats(BiasResult& r, SampleWindow window) {
   r.peak = 0.0;
@@ -50,15 +61,10 @@ OnlineCpa::OnlineCpa(LeakageModel model, unsigned num_guesses)
   assert(guesses_ > 0);
   sum_h_.assign(guesses_, 0.0);
   sum_h2_.assign(guesses_, 0.0);
-  if (model_.is_byte_indexed()) {
-    lut_.resize(256 * static_cast<std::size_t>(guesses_));
-    for (unsigned v = 0; v < 256; ++v)
-      for (unsigned g = 0; g < guesses_; ++g)
-        lut_[v * guesses_ + g] =
-            model_.eval_byte(static_cast<std::uint8_t>(v), g);
-  } else {
-    scratch_.resize(guesses_);
-  }
+  lut_.resize(256 * static_cast<std::size_t>(guesses_));
+  for (unsigned v = 0; v < 256; ++v)
+    for (unsigned g = 0; g < guesses_; ++g)
+      lut_[v * guesses_ + g] = model_.eval_byte(static_cast<std::uint8_t>(v), g);
 }
 
 void OnlineCpa::ensure_geometry(std::size_t m) {
@@ -95,41 +101,22 @@ void OnlineCpa::ingest(const double* const* rows, const double* const* hyp,
   var_valid_ = false;
 }
 
-const double* OnlineCpa::hyp_row(std::span<const std::uint8_t> plaintext) {
-  // Byte-indexed models: a LUT row, zero copies. Generic models: one
-  // std::function evaluation per guess into scratch (the scalar
-  // fallback; the shared per-sample sums stay hoisted either way).
-  if (model_.is_byte_indexed()) {
-    const auto v = plaintext[static_cast<std::size_t>(model_.byte())];
-    return lut_.data() + static_cast<std::size_t>(v) * guesses_;
-  }
-  for (unsigned g = 0; g < guesses_; ++g) scratch_[g] = model_(plaintext, g);
-  return scratch_.data();
-}
-
-void OnlineCpa::add(std::span<const std::uint8_t> plaintext,
-                    std::span<const double> samples) {
-  ensure_geometry(samples.size());
-  const double* row = samples.data();
-  const double* hyp = hyp_row(plaintext);
-  ingest(&row, &hyp, 1);
-}
-
 void OnlineCpa::add_prefix(const TraceSet& ts, std::size_t lo, std::size_t hi) {
   hi = std::min(hi, ts.size());
   if (lo >= hi) return;
+  check_byte("OnlineCpa", model_.byte(), ts.plaintext(lo).size());
   ensure_geometry(ts.num_samples());
-  // Generic models share the one scratch hypothesis row, so they feed
-  // one trace per ingest; byte-indexed models block up rank-kBlock
-  // updates of LUT rows.
-  const std::size_t block = model_.is_byte_indexed() ? kBlock : 1;
-  for (std::size_t t0 = lo; t0 < hi; t0 += block) {
-    const std::size_t cnt = std::min(block, hi - t0);
+  // Each trace's hypothesis row is the LUT row of its plaintext byte;
+  // rank-kBlock updates sweep blocks of them.
+  const auto byte = static_cast<std::size_t>(model_.byte());
+  for (std::size_t t0 = lo; t0 < hi; t0 += kBlock) {
+    const std::size_t cnt = std::min(kBlock, hi - t0);
     const double* rows[kBlock];
     const double* hyp[kBlock];
     for (std::size_t c = 0; c < cnt; ++c) {
       rows[c] = ts.matrix().row(t0 + c).data();
-      hyp[c] = hyp_row(ts.plaintext(t0 + c));
+      hyp[c] = lut_.data() +
+               static_cast<std::size_t>(ts.plaintext(t0 + c)[byte]) * guesses_;
     }
     ingest(rows, hyp, cnt);
   }
@@ -138,11 +125,14 @@ void OnlineCpa::add_prefix(const TraceSet& ts, std::size_t lo, std::size_t hi) {
 const std::vector<double>& OnlineCpa::var_s_cache() const {
   // Shared by finalize() and correlation_trace(): repeated prefix
   // probes of an MTD scan hit the cache until the next ingest (or
-  // merge/restore) invalidates it.
+  // merge/restore) invalidates it. The expression keeps its historical
+  // operation order (mul, then divide, then subtract) so cached
+  // variances stay bit-stable.
   if (!var_valid_) {
     var_cache_.resize(m_);
-    kernels_->variance(var_cache_.data(), sum_s_.data(), sum_s2_.data(),
-                       static_cast<double>(n_), m_);
+    const double nn = static_cast<double>(n_);
+    for (std::size_t j = 0; j < m_; ++j)
+      var_cache_[j] = sum_s2_[j] - sum_s_[j] * sum_s_[j] / nn;
     var_valid_ = true;
   }
   return var_cache_;
@@ -225,24 +215,16 @@ OnlineDpa::OnlineDpa(std::vector<SelectionFn> bits, unsigned num_guesses)
   assert(!bits_.empty());
   assert(guesses_ > 0);
   n1_.assign(bits_.size() * static_cast<std::size_t>(guesses_), 0);
-  lut_ok_ = std::all_of(bits_.begin(), bits_.end(),
-                        [](const SelectionFn& d) { return d.is_byte_indexed(); });
-  if (lut_ok_) {
-    // Decisions are stored as {0.0, 1.0} doubles: the ingest kernel
-    // turns them into a mask row and accumulates every set-1 trace
-    // branch-free (dst[j] += mask * s[j]).
-    lut_.resize(bits_.size() * 256 * static_cast<std::size_t>(guesses_));
-    for (std::size_t b = 0; b < bits_.size(); ++b)
-      for (unsigned v = 0; v < 256; ++v)
-        for (unsigned g = 0; g < guesses_; ++g)
-          lut_[(b * 256 + v) * guesses_ + g] =
-              bits_[b].eval_byte(static_cast<std::uint8_t>(v), g) != 0 ? 1.0
-                                                                       : 0.0;
-  } else {
-    // One decision row (bits × guesses): generic selections are fed one
-    // trace per ingest, never blocked.
-    scratch_.resize(bits_.size() * static_cast<std::size_t>(guesses_));
-  }
+  // Decisions are stored as {0.0, 1.0} doubles: the ingest kernel turns
+  // them into a mask row and accumulates every set-1 trace branch-free
+  // (dst[j] += mask * s[j]).
+  lut_.resize(bits_.size() * 256 * static_cast<std::size_t>(guesses_));
+  for (std::size_t b = 0; b < bits_.size(); ++b)
+    for (unsigned v = 0; v < 256; ++v)
+      for (unsigned g = 0; g < guesses_; ++g)
+        lut_[(b * 256 + v) * guesses_ + g] =
+            bits_[b].eval_byte(static_cast<std::uint8_t>(v), g) != 0 ? 1.0
+                                                                     : 0.0;
 }
 
 void OnlineDpa::ensure_geometry(std::size_t m) {
@@ -259,7 +241,6 @@ void OnlineDpa::ensure_geometry(std::size_t m) {
 
 void OnlineDpa::ingest(const double* const* rows,
                        const std::uint8_t* const* pts, std::size_t cnt) {
-  assert(lut_ok_ || cnt == 1);  // generic selections share one scratch row
   const std::size_t nbits = bits_.size();
   for (std::size_t c = 0; c < cnt; ++c)
     kernels_->row_add(sum_s_.data(), rows[c], m_);
@@ -271,16 +252,13 @@ void OnlineDpa::ingest(const double* const* rows,
   // bit-identical to the historical "if (d) skip" loop.
   double mask[kBlock];
   for (std::size_t b = 0; b < nbits; ++b) {
-    const auto byte =
-        lut_ok_ ? static_cast<std::size_t>(bits_[b].byte()) : std::size_t{0};
+    const auto byte = static_cast<std::size_t>(bits_[b].byte());
     for (unsigned g = 0; g < guesses_; ++g) {
       double* dst = sum1_.data() +
                     (b * static_cast<std::size_t>(guesses_) + g) * m_;
       std::uint32_t ones = 0;
       for (std::size_t c = 0; c < cnt; ++c) {
-        const double d = lut_ok_
-                             ? lut_[(b * 256 + pts[c][byte]) * guesses_ + g]
-                             : scratch_[b * guesses_ + g];
+        const double d = lut_[(b * 256 + pts[c][byte]) * guesses_ + g];
         mask[c] = d;
         ones += static_cast<std::uint32_t>(d);
       }
@@ -291,29 +269,12 @@ void OnlineDpa::ingest(const double* const* rows,
   n_ += cnt;
 }
 
-void OnlineDpa::add(std::span<const std::uint8_t> plaintext,
-                    std::span<const double> samples) {
-  ensure_geometry(samples.size());
-  if (!lut_ok_) {
-    double* dst = scratch_.data();
-    for (std::size_t b = 0; b < bits_.size(); ++b)
-      for (unsigned g = 0; g < guesses_; ++g)
-        dst[b * guesses_ + g] = bits_[b](plaintext, g) != 0 ? 1.0 : 0.0;
-  }
-  const double* row = samples.data();
-  const std::uint8_t* pt = plaintext.data();
-  ingest(&row, &pt, 1);
-}
-
 void OnlineDpa::add_prefix(const TraceSet& ts, std::size_t lo, std::size_t hi) {
   hi = std::min(hi, ts.size());
   if (lo >= hi) return;
+  for (const SelectionFn& d : bits_)
+    check_byte("OnlineDpa", d.byte(), ts.plaintext(lo).size());
   ensure_geometry(ts.num_samples());
-  if (!lut_ok_) {
-    for (std::size_t i = lo; i < hi; ++i)
-      add(ts.plaintext(i), ts.matrix().row(i));
-    return;
-  }
   for (std::size_t t0 = lo; t0 < hi; t0 += kBlock) {
     const std::size_t cnt = std::min(kBlock, hi - t0);
     const double* rows[kBlock];
@@ -588,6 +549,12 @@ void OnlineDpa::restore_state(std::span<const std::uint8_t> bytes) {
     throw StateError(StateError::Kind::Geometry,
                      "OnlineDpa::restore_state: inconsistent snapshot "
                      "geometry");
+  // A set-1 count above n would wrap the set-0 count n - n1 in bias().
+  if (std::any_of(counts.begin(), counts.end(),
+                  [n](std::uint32_t c) { return c > n; }))
+    throw StateError(StateError::Kind::Geometry,
+                     "OnlineDpa::restore_state: a set-1 count exceeds the "
+                     "trace count");
   sum_s_ = std::move(s);
   n1_ = std::move(counts);
   sum1_ = std::move(s1);

@@ -1,13 +1,14 @@
 // Shared runtime CPU-feature probe for the load-time-dispatched
-// kernels (util::Sha256's SHA-NI compressor, dpa::kernels' SSE2/AVX2
+// kernels (util::Sha256's SHA-NI compressor, dpa::kernels' AVX2
 // analysis kernels). One cpuid interrogation per process; every
 // dispatcher reads the same answers.
 //
 // Dispatch override: setting QDI_FORCE_PORTABLE (to anything but "0"
 // or the empty string) in the environment makes every dispatched
 // kernel pick its portable arm regardless of what the CPU supports, so
-// both arms of each dispatch are exercisable on any box (the sanitizer
-// CI job runs the analysis tests under both settings). The override is
+// both arms of each dispatch are exercisable on any box (CI runs the
+// analysis tests under both settings, in the Release and the sanitizer
+// builds). The override is
 // latched on first use — flipping the variable after process start has
 // no effect.
 #pragma once
@@ -15,7 +16,6 @@
 namespace qdi::util {
 
 struct CpuFeatures {
-  bool sse2 = false;   ///< baseline on x86-64, probed anyway
   bool ssse3 = false;
   bool sse41 = false;
   bool avx2 = false;   ///< true only if the OS enables YMM state (XGETBV)

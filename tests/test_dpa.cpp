@@ -105,9 +105,8 @@ TEST(DpaBias, DegenerateSplitIsHandled) {
   qd::TraceSet ts;
   qp::PowerTrace t(0.0, 1.0, 8);
   ts.add(t, {0});
-  const qd::SelectionFn d = [](std::span<const std::uint8_t>, unsigned) {
-    return 0;
-  };
+  const qd::SelectionFn d =
+      qd::SelectionFn::byte_indexed(0, [](std::uint8_t, unsigned) { return 0; });
   const qd::BiasResult b = qd::dpa_bias(ts, d, 0);
   EXPECT_EQ(b.n1, 0u);
   EXPECT_DOUBLE_EQ(b.peak, 0.0);

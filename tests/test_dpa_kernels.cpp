@@ -1,11 +1,11 @@
 // SIMD analysis-kernel dispatch and fused-campaign thread invariance.
 //
-//  * every SIMD arm the host supports (SSE2, AVX2) is fuzzed against
-//    the portable arm over awkward geometries — odd sample counts,
-//    vector-width±1 tails, 1/5/256 guesses, byte-indexed and generic
-//    models — and must leave BIT-identical accumulator state and emit
-//    bit-identical finalize()/correlation_trace() results (the
-//    determinism contract of qdi/dpa/kernels.hpp);
+//  * the AVX2 arm (when the host supports it) is fuzzed against the
+//    portable arm over awkward geometries — odd sample counts,
+//    vector-width±1 tails, 1/5/256 guesses, one-row and co-prime
+//    add_prefix() chunks — and must leave BIT-identical accumulator
+//    state and emit bit-identical finalize()/correlation_trace()
+//    results (the determinism contract of qdi/dpa/kernels.hpp);
 //  * the cached per-sample variance scan is invalidated by
 //    ingest/merge/restore (a stale cache would poison every prefix
 //    probe after the first);
@@ -14,7 +14,6 @@
 //    acquire, and ingest stays index-ordered on the calling thread.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -42,13 +41,13 @@ qd::TraceSet random_traces(std::size_t n, std::size_t m, qu::Rng& rng) {
   return ts;
 }
 
-/// Feed `ts` through `acc` in deliberately awkward chunkings: single
-/// add()s at the front, then add_prefix() chunks of co-prime widths.
+/// Feed `ts` through `acc` in deliberately awkward chunkings: one-row
+/// add_prefix() calls at the front, then chunks of co-prime widths.
 template <typename Acc>
 void feed_awkward(Acc& acc, const qd::TraceSet& ts) {
   std::size_t i = 0;
   for (; i < std::min<std::size_t>(3, ts.size()); ++i)
-    acc.add(ts.plaintext(i), ts.trace(i).samples());
+    acc.add_prefix(ts, i, i + 1);
   const std::size_t widths[] = {5, 1, 7, 13};
   std::size_t w = 0;
   while (i < ts.size()) {
@@ -57,25 +56,6 @@ void feed_awkward(Acc& acc, const qd::TraceSet& ts) {
     i = hi;
     ++w;
   }
-}
-
-const std::vector<qk::Kind> kSimdKinds = {qk::Kind::Sse2, qk::Kind::Avx2};
-
-/// Generic (non-byte-indexed) twin of aes_sbox_hw_model(0): forces the
-/// scratch-row hypothesis path while computing the same values.
-qd::LeakageModel generic_sbox_model() {
-  return qd::LeakageModel([](std::span<const std::uint8_t> pt, unsigned g) {
-    return static_cast<double>(std::popcount(static_cast<unsigned>(
-        qdi::crypto::aes_sbox(static_cast<std::uint8_t>(pt[0] ^ g)))));
-  });
-}
-
-qd::SelectionFn generic_sbox_selection(int bit) {
-  return qd::SelectionFn([bit](std::span<const std::uint8_t> pt, unsigned g) {
-    return (qdi::crypto::aes_sbox(static_cast<std::uint8_t>(pt[0] ^ g)) >>
-            bit) &
-           1;
-  });
 }
 
 }  // namespace
@@ -89,15 +69,18 @@ TEST(KernelDispatch, ActiveArmHonorsForcePortable) {
     EXPECT_STREQ(a.name, "portable");
     EXPECT_FALSE(qu::sha256_hw_accelerated());
   }
-  // Every arm the probe reports must actually hand out a table.
-  for (const qk::Kind k : kSimdKinds)
-    if (qk::supported(k)) EXPECT_NE(qk::table(k), nullptr);
+  // The AVX2 table exists exactly when the probe reports the arm.
+  EXPECT_EQ(qk::table(qk::Kind::Avx2) != nullptr,
+            qk::supported(qk::Kind::Avx2));
   EXPECT_NE(qk::table(qk::Kind::Portable), nullptr);
   EXPECT_TRUE(qk::supported(qk::Kind::Portable));
 }
 
 TEST(KernelArms, CpaStateBitIdenticalAcrossArms) {
+  const qk::KernelTable* avx2 = qk::table(qk::Kind::Avx2);
+  if (avx2 == nullptr) GTEST_SKIP() << "no AVX2 arm on this build/CPU";
   qu::Rng rng(0x51u);
+  const qd::LeakageModel model = qd::aes_sbox_hw_model(0);
   for (const std::size_t m : {std::size_t{1}, std::size_t{3}, std::size_t{7},
                               std::size_t{8}, std::size_t{9}, std::size_t{17},
                               std::size_t{31}, std::size_t{64},
@@ -105,75 +88,53 @@ TEST(KernelArms, CpaStateBitIdenticalAcrossArms) {
     for (const unsigned guesses : {1u, 5u, 256u}) {
       const std::size_t n = 24 + rng.below(16);
       const qd::TraceSet ts = random_traces(n, m, rng);
-      for (const bool byte_indexed : {true, false}) {
-        const qd::LeakageModel model =
-            byte_indexed ? qd::aes_sbox_hw_model(0) : generic_sbox_model();
-        qd::OnlineCpa ref(model, guesses);
-        ref.set_kernels(*qk::table(qk::Kind::Portable));
-        feed_awkward(ref, ts);
-        const std::vector<std::uint8_t> ref_state = ref.serialize_state();
-        const qd::CpaResult ref_fin = ref.finalize(1, m > 2 ? m - 1 : m);
-        const std::vector<double> ref_rho = ref.correlation_trace(0);
-        for (const qk::Kind kind : kSimdKinds) {
-          if (!qk::supported(kind)) continue;
-          qd::OnlineCpa acc(model, guesses);
-          acc.set_kernels(*qk::table(kind));
-          feed_awkward(acc, ts);
-          // The whole running-sum state, byte for byte: no tolerance.
-          EXPECT_EQ(acc.serialize_state(), ref_state)
-              << qk::table(kind)->name << " m=" << m << " guesses=" << guesses
-              << " byte_indexed=" << byte_indexed;
-          const qd::CpaResult fin = acc.finalize(1, m > 2 ? m - 1 : m);
-          EXPECT_EQ(fin.best_guess, ref_fin.best_guess);
-          EXPECT_EQ(fin.best_sample, ref_fin.best_sample);
-          for (unsigned g = 0; g < guesses; ++g)
-            EXPECT_EQ(fin.correlation[g], ref_fin.correlation[g])
-                << qk::table(kind)->name << " g=" << g;
-          const std::vector<double> rho = acc.correlation_trace(0);
-          for (std::size_t j = 0; j < m; ++j)
-            EXPECT_EQ(rho[j], ref_rho[j]) << qk::table(kind)->name;
-        }
-      }
+      qd::OnlineCpa ref(model, guesses);
+      ref.set_kernels(*qk::table(qk::Kind::Portable));
+      feed_awkward(ref, ts);
+      qd::OnlineCpa acc(model, guesses);
+      acc.set_kernels(*avx2);
+      feed_awkward(acc, ts);
+      // The whole running-sum state, byte for byte: no tolerance.
+      EXPECT_EQ(acc.serialize_state(), ref.serialize_state())
+          << "m=" << m << " guesses=" << guesses;
+      const qd::CpaResult ref_fin = ref.finalize(1, m > 2 ? m - 1 : m);
+      const qd::CpaResult fin = acc.finalize(1, m > 2 ? m - 1 : m);
+      EXPECT_EQ(fin.best_guess, ref_fin.best_guess);
+      EXPECT_EQ(fin.best_sample, ref_fin.best_sample);
+      for (unsigned g = 0; g < guesses; ++g)
+        EXPECT_EQ(fin.correlation[g], ref_fin.correlation[g]) << "g=" << g;
+      const std::vector<double> ref_rho = ref.correlation_trace(0);
+      const std::vector<double> rho = acc.correlation_trace(0);
+      for (std::size_t j = 0; j < m; ++j) EXPECT_EQ(rho[j], ref_rho[j]);
     }
   }
 }
 
 TEST(KernelArms, DpaStateBitIdenticalAcrossArms) {
+  const qk::KernelTable* avx2 = qk::table(qk::Kind::Avx2);
+  if (avx2 == nullptr) GTEST_SKIP() << "no AVX2 arm on this build/CPU";
   qu::Rng rng(0x52u);
+  const std::vector<qd::SelectionFn> bits = {qd::aes_sbox_selection(0, 0),
+                                             qd::aes_sbox_selection(0, 3)};
   for (const std::size_t m : {std::size_t{1}, std::size_t{7}, std::size_t{8},
                               std::size_t{9}, std::size_t{33},
                               std::size_t{130}}) {
     for (const unsigned guesses : {1u, 5u, 256u}) {
       const std::size_t n = 24 + rng.below(16);
       const qd::TraceSet ts = random_traces(n, m, rng);
-      for (const bool byte_indexed : {true, false}) {
-        std::vector<qd::SelectionFn> bits;
-        if (byte_indexed) {
-          bits.push_back(qd::aes_sbox_selection(0, 0));
-          bits.push_back(qd::aes_sbox_selection(0, 3));
-        } else {
-          bits.push_back(generic_sbox_selection(0));
-          bits.push_back(generic_sbox_selection(3));
-        }
-        qd::OnlineDpa ref(bits, guesses);
-        ref.set_kernels(*qk::table(qk::Kind::Portable));
-        feed_awkward(ref, ts);
-        const std::vector<std::uint8_t> ref_state = ref.serialize_state();
-        const qd::KeyRecoveryResult ref_rec = ref.recover();
-        for (const qk::Kind kind : kSimdKinds) {
-          if (!qk::supported(kind)) continue;
-          qd::OnlineDpa acc(bits, guesses);
-          acc.set_kernels(*qk::table(kind));
-          feed_awkward(acc, ts);
-          EXPECT_EQ(acc.serialize_state(), ref_state)
-              << qk::table(kind)->name << " m=" << m << " guesses=" << guesses
-              << " byte_indexed=" << byte_indexed;
-          const qd::KeyRecoveryResult rec = acc.recover();
-          EXPECT_EQ(rec.best_guess, ref_rec.best_guess);
-          for (unsigned g = 0; g < guesses; ++g)
-            EXPECT_EQ(rec.guess_peak[g], ref_rec.guess_peak[g]);
-        }
-      }
+      qd::OnlineDpa ref(bits, guesses);
+      ref.set_kernels(*qk::table(qk::Kind::Portable));
+      feed_awkward(ref, ts);
+      qd::OnlineDpa acc(bits, guesses);
+      acc.set_kernels(*avx2);
+      feed_awkward(acc, ts);
+      EXPECT_EQ(acc.serialize_state(), ref.serialize_state())
+          << "m=" << m << " guesses=" << guesses;
+      const qd::KeyRecoveryResult ref_rec = ref.recover();
+      const qd::KeyRecoveryResult rec = acc.recover();
+      EXPECT_EQ(rec.best_guess, ref_rec.best_guess);
+      for (unsigned g = 0; g < guesses; ++g)
+        EXPECT_EQ(rec.guess_peak[g], ref_rec.guess_peak[g]);
     }
   }
 }

@@ -3,8 +3,11 @@
 //
 //  * property tests — randomized (n, m, guesses, prefixes) trace sets,
 //    online results vs the legacy batch formulas re-derived naively
-//    here, to 1e-12;
-//  * byte-indexed LUT path vs generic std::function path, bit-identical;
+//    here, to 1e-12 (the naive oracles call the predictor per trace, so
+//    they also check the engine's LUT tabulation);
+//  * one-row add_prefix() feeds vs one bulk call, bit-identical state;
+//  * a predictor whose plaintext byte lies past the set's plaintext
+//    stride is rejected before any state moves;
 //  * CpaResult/KeyRecoveryResult tie handling (ties rank below);
 //  * fused-campaign results == materialized-TraceSet results on two
 //    registry targets, including MTD and the rank trajectory;
@@ -29,7 +32,7 @@ namespace qc = qdi::campaign;
 namespace {
 
 /// Random trace set: m gaussian samples per trace, 2-byte plaintexts
-/// (so byte-indexed models reading byte 1 are exercised too).
+/// (so models reading byte 1 are exercised too).
 qd::TraceSet random_traces(std::size_t n, std::size_t m, qu::Rng& rng) {
   qd::TraceSet ts;
   for (std::size_t i = 0; i < n; ++i) {
@@ -166,54 +169,55 @@ TEST(OnlineDpa, MatchesNaiveFormulasOnRandomInputs) {
   }
 }
 
-TEST(OnlineCpa, GenericModelPathIsBitIdenticalToLutPath) {
-  qu::Rng rng(7);
-  const qd::TraceSet ts = random_traces(60, 12, rng);
-  const qd::LeakageModel fast = qd::aes_sbox_hw_model(1);
-  ASSERT_TRUE(fast.is_byte_indexed());
-  // Same model forced down the generic std::function path.
-  const qd::LeakageModel generic(
-      [&fast](std::span<const std::uint8_t> pt, unsigned g) {
-        return fast(pt, g);
-      });
-  ASSERT_FALSE(generic.is_byte_indexed());
-  const qd::CpaResult a = qd::cpa_attack(ts, fast, 24);
-  const qd::CpaResult b = qd::cpa_attack(ts, generic, 24);
-  for (unsigned g = 0; g < 24; ++g)
-    EXPECT_DOUBLE_EQ(a.correlation[g], b.correlation[g]);
-  EXPECT_EQ(a.best_guess, b.best_guess);
-  EXPECT_EQ(a.best_sample, b.best_sample);
-}
-
-TEST(OnlineDpa, GenericSelectionPathIsBitIdenticalToLutPath) {
-  qu::Rng rng(8);
-  const qd::TraceSet ts = random_traces(60, 12, rng);
-  const qd::SelectionFn fast = qd::des_sbox_selection(0, 1);
-  ASSERT_TRUE(fast.is_byte_indexed());
-  const qd::SelectionFn generic(
-      [&fast](std::span<const std::uint8_t> pt, unsigned g) {
-        return fast(pt, g);
-      });
-  ASSERT_FALSE(generic.is_byte_indexed());
-  const qd::KeyRecoveryResult a = qd::recover_key(ts, fast, 64);
-  const qd::KeyRecoveryResult b = qd::recover_key(ts, generic, 64);
-  for (unsigned g = 0; g < 64; ++g)
-    EXPECT_DOUBLE_EQ(a.guess_peak[g], b.guess_peak[g]);
-}
-
-TEST(OnlineCpa, SingleAddAgreesWithBulkAddPrefix) {
+TEST(OnlineAnalysis, OneRowAddPrefixAgreesWithBulkAddPrefix) {
   qu::Rng rng(9);
   const qd::TraceSet ts = random_traces(50, 10, rng);
   const qd::LeakageModel model = qd::aes_sbox_hw_model(0);
   qd::OnlineCpa one(model, 16);
-  for (std::size_t i = 0; i < ts.size(); ++i)
-    one.add(ts.plaintext(i), ts.trace(i).samples());
+  for (std::size_t i = 0; i < ts.size(); ++i) one.add_prefix(ts, i, i + 1);
   qd::OnlineCpa bulk(model, 16);
   bulk.add_prefix(ts, 0, ts.size());
+  EXPECT_EQ(one.serialize_state(), bulk.serialize_state());
   const qd::CpaResult a = one.finalize();
   const qd::CpaResult b = bulk.finalize();
   for (unsigned g = 0; g < 16; ++g)
     EXPECT_DOUBLE_EQ(a.correlation[g], b.correlation[g]);
+
+  const std::vector<qd::SelectionFn> bits = {qd::aes_sbox_selection(1, 2)};
+  qd::OnlineDpa dpa_one(bits, 16);
+  for (std::size_t i = 0; i < ts.size(); ++i) dpa_one.add_prefix(ts, i, i + 1);
+  qd::OnlineDpa dpa_bulk(bits, 16);
+  dpa_bulk.add_prefix(ts, 0, ts.size());
+  EXPECT_EQ(dpa_one.serialize_state(), dpa_bulk.serialize_state());
+}
+
+TEST(OnlineAnalysis, PredictorByteOutsidePlaintextStrideThrows) {
+  // 1-byte plaintexts: a model of byte 3 or a selection of byte 2 would
+  // read the next traces' bytes. The check fires before any state moves.
+  qu::Rng rng(13);
+  qd::TraceSet ts;
+  for (std::size_t i = 0; i < 20; ++i) {
+    qp::PowerTrace t(0.0, 10.0, 6);
+    for (std::size_t j = 0; j < 6; ++j) t[j] = rng.gaussian(0.0, 1.0);
+    ts.add(t, {rng.byte()});
+  }
+  qd::OnlineCpa cpa(qd::aes_sbox_hw_model(3), 256);
+  EXPECT_THROW(cpa.add_prefix(ts, 0, ts.size()), std::invalid_argument);
+  EXPECT_EQ(cpa.count(), 0u);
+  EXPECT_THROW((void)qd::cpa_attack(ts, qd::aes_sbox_hw_model(3), 256),
+               std::invalid_argument);
+
+  qd::OnlineDpa dpa({qd::aes_sbox_selection(0, 1), qd::aes_xor_selection(2, 0)},
+                    256);
+  EXPECT_THROW(dpa.add_prefix(ts, 0, ts.size()), std::invalid_argument);
+  EXPECT_EQ(dpa.count(), 0u);
+  EXPECT_THROW((void)qd::recover_key(ts, qd::aes_xor_selection(2, 0), 256),
+               std::invalid_argument);
+
+  // The last in-stride byte is accepted.
+  qd::OnlineCpa ok(qd::aes_sbox_hw_model(0), 256);
+  ok.add_prefix(ts, 0, ts.size());
+  EXPECT_EQ(ok.count(), ts.size());
 }
 
 // ---- tie handling ----------------------------------------------------------

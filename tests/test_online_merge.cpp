@@ -263,6 +263,36 @@ TEST(OnlineMerge, MalformedOrMismatchedSnapshotThrowsNamedErrors) {
   EXPECT_EQ(restore_kind(dpa, cpa_snap), qd::StateError::Kind::BadMagic);
 }
 
+TEST(OnlineMerge, DpaRestoreRejectsSetOneCountAboveTraceCount) {
+  // A well-framed 4-trace snapshot whose first set-1 count is patched to
+  // 9: bias() would report n0 = n - n1 wrapped around std::size_t.
+  // Layout: magic, guesses, bits, m, n (u64 each), sum_s (u64 length +
+  // m doubles), then n1 (u64 length + one u32 per bit x guess).
+  qu::Rng rng(0x59);
+  const std::size_t m = 5;
+  const qd::TraceSet ts = random_traces(4, m, rng);
+  const std::vector<qd::SelectionFn> bits = {qd::aes_sbox_selection(0, 0)};
+  qd::OnlineDpa acc(bits, 4);
+  acc.add_prefix(ts, 0, 4);
+  std::vector<std::uint8_t> snap = acc.serialize_state();
+  const std::size_t n1_at = 5 * 8 + 8 + m * sizeof(double) + 8;
+  ASSERT_LT(n1_at + 4, snap.size());
+  ASSERT_LE(snap[n1_at], 4u);
+  snap[n1_at] = 9;
+
+  qd::OnlineDpa victim(bits, 4);
+  victim.add_prefix(ts, 0, 2);
+  const std::vector<std::uint8_t> before = victim.serialize_state();
+  EXPECT_EQ(restore_kind(victim, snap), qd::StateError::Kind::Geometry);
+  EXPECT_EQ(victim.serialize_state(), before);
+
+  // n1 == n is a legal (one-sided) partition and still restores.
+  snap[n1_at] = 4;
+  victim.restore_state(snap);
+  EXPECT_EQ(victim.count(), 4u);
+  EXPECT_EQ(victim.bias(0).n0, 0u);
+}
+
 TEST(OnlineMerge, EveryTruncationLengthIsRejectedAndLeavesStateUntouched) {
   // Tiny geometry so every truncation length is cheap to fuzz: the
   // snapshot must be rejected at EVERY proper prefix, and a failed

@@ -391,6 +391,12 @@ TEST(ShardedRun, RepeatRunsAreBitIdenticalAndResumeFromCompleteCheckpoints) {
   const qc::ShardedResult t3 = base_campaign(qs::EngineKind::Compiled, 3)
                                    .sharded(base_opts(fresh_dir("repeat_t3")));
   expect_identical(a, t3);
+  // Nor is fsyncing every commit (util::Durability::Fsync).
+  qc::ShardedOptions synced = base_opts(fresh_dir("repeat_fsync"));
+  synced.fsync_commits = true;
+  const qc::ShardedResult f = base_campaign().sharded(synced);
+  EXPECT_TRUE(f.complete());
+  expect_identical(a, f);
 
   // Re-running over the completed checkpoint store re-adopts the final
   // records without re-acquiring anything, bit-identically.
