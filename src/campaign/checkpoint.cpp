@@ -244,7 +244,11 @@ void commit_checkpoint(const std::string& dir, const ShardCheckpoint& c,
   // Rotate the current generation down before publishing the new one.
   // rename(2) is atomic, so at every instant at least one of {ckpt,
   // ckpt.prev} holds a complete record once the first commit lands.
-  if (util::read_file_if_exists(path)) std::rename(path.c_str(), prev.c_str());
+  // ENOENT means this is the shard's first commit; any other failure
+  // would silently drop the previous generation, so it fails the commit.
+  if (std::rename(path.c_str(), prev.c_str()) != 0 && errno != ENOENT)
+    throw std::runtime_error("checkpoint: rotating '" + path + "' to '" +
+                             prev + "' failed: " + std::strerror(errno));
   util::atomic_write_file(path, encode_checkpoint(c), durability);
 }
 

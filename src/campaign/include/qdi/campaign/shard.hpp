@@ -95,9 +95,10 @@ struct ShardedOptions {
   unsigned backoff_ms = 10;
   /// Stall watchdog: a running shard whose progress counter does not
   /// advance for this long is cancelled (it aborts with ShardStall at
-  /// the next chunk boundary) and re-dispatched. 0 = watchdog off.
+  /// the next chunk boundary) and re-dispatched. 0 = watchdog off. The
+  /// watchdog polls every max(1, stall_timeout_ms / 8) ms, so a stall is
+  /// caught within an eighth of the timeout past it.
   unsigned stall_timeout_ms = 0;
-  unsigned watchdog_poll_ms = 5;
   /// Commit durability. Every commit is always SHA-sealed and
   /// published by atomic rename, so a killed process — the crash model
   /// of the resume tests — can neither lose nor corrupt a committed

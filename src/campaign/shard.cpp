@@ -291,8 +291,8 @@ ShardedResult Coordinator::run() {
       std::vector<std::uint64_t> last(slots.size(), 0);
       std::vector<std::chrono::steady_clock::time_point> since(
           slots.size(), std::chrono::steady_clock::now());
-      const auto poll = std::chrono::milliseconds(
-          opt_.watchdog_poll_ms == 0 ? 1 : opt_.watchdog_poll_ms);
+      const auto poll =
+          std::chrono::milliseconds(std::max(1u, opt_.stall_timeout_ms / 8));
       while (finished.load(std::memory_order_acquire) < slots.size()) {
         std::this_thread::sleep_for(poll);
         const auto now = std::chrono::steady_clock::now();

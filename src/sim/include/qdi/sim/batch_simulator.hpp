@@ -35,6 +35,7 @@
 
 #include "qdi/sim/batch_netlist.hpp"
 #include "qdi/sim/environment.hpp"
+#include "qdi/sim/time_wheel.hpp"
 
 namespace qdi::sim {
 
@@ -95,7 +96,7 @@ class BatchSimulator {
 
   void set_power_sink(BatchPowerSink* sink) noexcept { sink_ = sink; }
 
-  bool queue_empty() const noexcept { return queue_size_ == 0; }
+  bool queue_empty() const noexcept { return queue_.empty(); }
 
   /// Post-reset snapshot, shared by all lanes (save requires a drained
   /// queue and lane-uniform state — which apply_reset guarantees).
@@ -121,27 +122,20 @@ class BatchSimulator {
   }
 
  private:
-  struct HeapEvent {
+  struct Key {
     double t_ps;
     std::uint32_t net;
   };
   // Merged-queue order: earliest (t, net) pops first — the projection of
   // the engines' canonical (t_ps, net, seq) order onto live events.
-  // Functors (not function pointers) so the sorts inline them.
+  // A functor (not a function pointer) so the wheel's sorts inline it.
   struct Earlier {
-    bool operator()(const HeapEvent& a, const HeapEvent& b) const noexcept {
+    bool operator()(const Key& a, const Key& b) const noexcept {
       if (a.t_ps != b.t_ps) return a.t_ps < b.t_ps;
       return a.net < b.net;
     }
   };
-  struct Later {
-    bool operator()(const HeapEvent& a, const HeapEvent& b) const noexcept {
-      if (a.t_ps != b.t_ps) return a.t_ps > b.t_ps;
-      return a.net > b.net;
-    }
-  };
 
-  void push_key(double t_ps, std::uint32_t net);
   void schedule_word(std::uint32_t net, std::uint64_t want, std::uint64_t mask,
                      double t_ps);
   void evaluate_cell(std::uint32_t cell, double t_ps, std::uint64_t mask);
@@ -162,7 +156,7 @@ class BatchSimulator {
   // share one group, so a net almost always holds at most one. The group
   // is the lazy-cancellation token — a popped (t, net) key commits
   // exactly the group whose time equals t (a missing group is a
-  // tombstone) — and the dedup unit: a heap key is pushed only when a
+  // tombstone) — and the dedup unit: a queue key is pushed only when a
   // group is born. The first group lives inline (g0_t/g0_mask, mask == 0
   // when vacant); additional simultaneous times spill into spill_[net],
   // and `mask & ~g0_mask != 0` is the cheap "spill is non-empty" test
@@ -182,42 +176,11 @@ class BatchSimulator {
   std::vector<PendState> pend_;
   std::vector<std::vector<PendGroup>> spill_;
 
-  // Two-level calendar queue over merged (t, net) keys — the batch twin
-  // of the scalar engine's time wheel (compiled_simulator.hpp): buckets
-  // of one tick (bucket width 4x the smallest gate delay), an occupancy
-  // bitmap for the next-tick scan, a sorted ready batch serving the
-  // current tick, and a far-list min-heap for keys beyond one rotation.
-  // Pop order is exactly (t, net); keys the serve of a tick births into
-  // its own tick keep the ready batch sorted via bounded insertion.
-  std::vector<std::vector<HeapEvent>> buckets_;
-  std::vector<std::uint64_t> occupied_;
-  std::vector<HeapEvent> ready_;
-  std::size_t ready_pos_ = 0;
-  std::vector<HeapEvent> overflow_;
-  std::uint64_t cur_tick_ = 0;
-  std::uint64_t num_buckets_ = 0;
-  std::uint64_t bucket_mask_ = 0;
-  std::uint64_t wheel_count_ = 0;
-  double inv_bucket_width_ = 1.0;
-  std::size_t queue_size_ = 0;
-
-  std::uint64_t tick_of(double t_ps) const noexcept {
-    return static_cast<std::uint64_t>(t_ps * inv_bucket_width_);
-  }
-  void set_occupied(std::uint64_t b) noexcept {
-    occupied_[b >> 6] |= std::uint64_t{1} << (b & 63);
-  }
-  void clear_occupied(std::uint64_t b) noexcept {
-    occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
-  }
-  std::uint64_t find_next_occupied(std::uint64_t start_bucket) const noexcept;
-  void bucket_insert(const HeapEvent& ev);
-  void spill_ready();
-  void sort_ready();
-  bool fast_refill();
-  bool cold_refill();
-  void refill_ready();
-  void clear_queue();
+  // Merged (t, net) keys on the shared calendar queue (time_wheel.hpp).
+  // A key is pushed once per pending group born, so the same (t, net)
+  // can be queued twice after a cancel-and-rebirth; duplicates share a
+  // tick and are merged at pop.
+  TimeWheel<Key, Earlier> queue_;
 
   double now_[kBatchLanes] = {};
   std::size_t glitches_[kBatchLanes] = {};

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -303,6 +304,39 @@ TEST(CheckpointCodec, CommitRotatesAndRecoveryFallsBackToPrev) {
       &notes);
   EXPECT_FALSE(rec.has_value());
   EXPECT_NE(notes.find("veto"), std::string::npos);
+}
+
+TEST(CheckpointCodec, FailedRotationFailsTheCommit) {
+  const std::string dir = fresh_dir("rotation_fails");
+  std::filesystem::create_directories(dir);
+  // A directory squatting on the .prev name makes rename(2) fail with
+  // EISDIR: the commit must not report success after silently losing
+  // the previous generation.
+  std::filesystem::create_directory(qc::checkpoint_prev_path(dir, 0));
+  qc::ShardCheckpoint c1 = sample_checkpoint();
+  c1.shard = 0;
+  c1.lo = 0;
+  c1.hi = 64;
+  c1.next = 16;
+  qc::commit_checkpoint(dir, c1);  // first commit: nothing to rotate
+  qc::ShardCheckpoint c2 = c1;
+  c2.next = 32;
+  try {
+    qc::commit_checkpoint(dir, c2);
+    ADD_FAILURE() << "a failed rotation was reported as a commit";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("rotating"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(qc::checkpoint_path(dir, 0)), std::string::npos) << msg;
+    EXPECT_NE(msg.find(qc::checkpoint_prev_path(dir, 0)), std::string::npos)
+        << msg;
+  }
+  // The published generation is still the first commit.
+  const auto rec =
+      qc::recover_checkpoint(dir, 0, c1.fingerprint, 0, 64, nullptr, nullptr);
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_EQ(rec->ckpt.next, 16u);
+  std::filesystem::remove(qc::checkpoint_prev_path(dir, 0));
 }
 
 // ---- sharded campaign: validation ------------------------------------------
@@ -605,7 +639,6 @@ TEST(ShardedStall, WatchdogCancelsWedgedShardAndRedispatches) {
   qc::ShardedOptions opt = base_opts(dir);
   opt.shards = 2;
   opt.stall_timeout_ms = timeout_ms;
-  opt.watchdog_poll_ms = 10;
   opt.max_attempts = 3;
   std::atomic<bool> wedge_once{true};
   opt.on_progress = [&](std::size_t shard, std::uint64_t) {
