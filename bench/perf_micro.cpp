@@ -412,15 +412,19 @@ static void BM_CpaOnline(benchmark::State& state) {
 }
 BENCHMARK(BM_CpaOnline)->Unit(benchmark::kMillisecond);
 
-// SIMD-dispatch pair: the 256-guess byte-indexed CPA ingest of the
-// same materialized 128-trace workload, once pinned to the portable
-// kernel arm and once on the load-time kernels::active() pick (AVX2 on
-// CI). Identical accumulator state by the arms' bit-identity contract
+// SIMD-dispatch pair: the 256-guess byte-indexed CPA ingest and one
+// finalize() of the same materialized 128-trace workload, once pinned
+// to the portable kernel arm and once on the load-time
+// kernels::active() pick (AVX2 on CI). Ingest alone is one class-row
+// add per trace, where the arm hardly matters; the read that folds the
+// class rows into all 256 guesses (cpa_rank_update) and scans the
+// correlations (corr_scan) is where it does, so both rows time ingest
+// plus that read. Identical results by the arms' bit-identity contract
 // (tests/test_dpa_kernels.cpp); the CI bench job prints the
-// BM_CpaIngestPortable / BM_CpaIngestSimd per-ingest speedup and
-// guards it against regression. Note the portable arm is itself
-// autovectorized by -O3 (SSE2 on x86-64), so this ratio measures the
-// AVX2 arm against real compiled scalar code, not against a strawman.
+// BM_CpaIngestPortable / BM_CpaIngestSimd speedup and guards it
+// against regression. Note the portable arm is itself autovectorized
+// by -O3 (SSE2 on x86-64), so this ratio measures the AVX2 arm against
+// real compiled scalar code, not against a strawman.
 static void cpa_ingest_bench(benchmark::State& state,
                              const qd::kernels::KernelTable& table) {
   const qd::TraceSet& ts = cpa_workload();
@@ -430,7 +434,7 @@ static void cpa_ingest_bench(benchmark::State& state,
   for (auto _ : state) {
     acc.reset();
     acc.add_prefix(ts, 0, ts.size());
-    benchmark::DoNotOptimize(acc.count());
+    benchmark::DoNotOptimize(acc.finalize().best_rho);
   }
   state.SetItemsProcessed(static_cast<long>(state.iterations() * ts.size()));
   state.SetLabel(table.name);

@@ -56,7 +56,9 @@ class CheckpointError : public std::runtime_error {
 };
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x4b534451u;  // "QDSK"
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+/// Version 2: the accumulator payload holds plaintext-class tables
+/// (dpa/online.hpp); version-1 records carried all-guess sums.
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /// The decoded checkpoint payload.
 struct ShardCheckpoint {

@@ -1,24 +1,34 @@
 // Runtime-dispatched SIMD kernels for the streaming analysis engine.
 //
-// The ingest hot loops of dpa::OnlineCpa / dpa::OnlineDpa (per-sample
-// moments, the guesses x m rank update, the DPA partitioned sums) and
-// the finalize-side correlation scan are factored into this table of
-// function pointers with two arms. The portable arm is the oracle and
-// the production arm on CPUs without AVX2; the AVX2 arm is the
-// production arm everywhere else. The arm is picked ONCE at load via
-// util::cpu_features() — the same pattern as util::Sha256's SHA-NI
-// compressor — and QDI_FORCE_PORTABLE pins the portable arm everywhere.
+// dpa::OnlineCpa / dpa::OnlineDpa keep per-plaintext-class sums
+// (qdi/dpa/online.hpp), so their loops split into two sides:
+//
+//   ingest, once per trace:  cpa_moments (CPA per-sample moments) and
+//                            row_add (DPA sum_s, the class-row add);
+//   reads, once per folded class row:
+//                            cpa_rank_update (class rows x LUT rows
+//                            into the guesses x m CPA cache),
+//                            masked_sum (class rows x D column into the
+//                            DPA set-1 cache), corr_scan (finalize).
+//
+// A read folds at most min(traces since the last read, classes) rows,
+// so the read side carries the guess-proportional work. Each kernel
+// has two arms. The portable arm is the oracle and the production arm
+// on CPUs without AVX2; the AVX2 arm is the production arm everywhere
+// else. The arm is picked ONCE at load via util::cpu_features() — the
+// same pattern as util::Sha256's SHA-NI compressor — and
+// QDI_FORCE_PORTABLE pins the portable arm everywhere.
 //
 // Determinism contract (why the arms are interchangeable): every
 // kernel vectorizes over the SAMPLE axis j only. Each accumulator cell
-// (g, j) still receives its contributions in strict trace order, one
+// (g, j) still receives its contributions in strict row order, one
 // rounding per add and one per multiply (mul-then-add, never FMA —
 // the AVX2 arm excludes "fma" from its target set so the compiler
 // cannot contract), and the scalar tail performs the identical
 // operations on the identical values. There is no reassociation
 // anywhere, so the AVX2 arm is BIT-IDENTICAL to the portable arm — a
-// property tests/test_dpa_kernels.cpp asserts on awkward geometries
-// rather than assumes.
+// property tests/test_dpa_kernels.cpp asserts, state and read results
+// alike, on awkward geometries rather than assumes.
 #pragma once
 
 #include <cstddef>
@@ -37,17 +47,19 @@ struct KernelTable {
                       std::size_t m);
 
   /// CPA rank update: for each guess g, dst = sum_hs + g*m; for each
-  /// trace c in order: h = hyp[c][g]; if h == 0.0 the trace is skipped
-  /// (identical skip decision in every arm); else dst[j] += h * s[j].
+  /// row c in order (a class sum, hyp[c] its LUT row): h = hyp[c][g];
+  /// if h == 0.0 the row is skipped (identical skip decision in every
+  /// arm); else dst[j] += h * s[j].
   void (*cpa_rank_update)(double* sum_hs, const double* const* rows,
                           const double* const* hyp, std::size_t cnt,
                           unsigned guesses, std::size_t m);
 
-  /// dst[j] += src[j] (the DPA shared per-sample sum, one trace row).
+  /// dst[j] += src[j] (one trace row into a per-sample or class sum).
   void (*row_add)(double* dst, const double* src, std::size_t m);
 
-  /// DPA partitioned sum, branch-free: for each trace c in order,
-  /// dst[j] += mask[c] * rows[c][j], with mask[c] in {0.0, 1.0}.
+  /// DPA partitioned sum, branch-free: for each row c in order (a class
+  /// sum, mask[c] its D decision), dst[j] += mask[c] * rows[c][j], with
+  /// mask[c] in {0.0, 1.0}.
   /// Bit-identical to the historical "if (d) dst[j] += s[j]" loop:
   /// 1.0*x == x exactly, and adding the resulting +/-0.0 of a masked-
   /// out trace never changes a finite accumulator (an accumulator

@@ -3,34 +3,55 @@
 // Mangard-style incremental correlation: a Pearson correlation (and a
 // difference-of-means bias) is a function of a handful of running sums,
 // so an attack over ANY trace-count prefix can be emitted at ANY point
-// of one linear pass over the acquisitions. The accumulators below hold
+// of one linear pass over the acquisitions.
 //
-//   shared across all guesses:  n, sum_s[j], sum_s2[j]
-//   per guess (CPA):            sum_h[g], sum_h2[g], sum_hs[g][j]
-//   per guess+bit (DPA):        n1[b][g], sum1[b][g][j]
+// Every predictor reads ONE plaintext byte, so the per-guess sums
+// factor through plaintext classes (Bottinelli & Bos, JCEN 2017). Two
+// byte values share a class when the predictor LUTs give them the same
+// value for every guess and every bit; the map is derived from the
+// predictors at construction (64 classes for the DES S-box predictors,
+// where v and v^0x40 coincide; 256 for the AES ones). The state is
 //
-// and update them per added trace with a blocked, GEMM-like rank-B
-// kernel over the contiguous SoA trace matrix. The per-sample sums are
-// computed ONCE instead of once per guess (the batch path re-derived
-// them 256 times), and every model and selection — each reads one
-// plaintext byte — becomes a 256-entry-per-guess LUT, so no
-// std::function call ever runs on the per-trace hot path.
+//   per sample:                  n, sum_s[j]  (CPA also sum_s2[j])
+//   per predictor byte, class c: count[c] (u64), S[c][j] = sum of the
+//                                traces of class c
 //
-// finalize()/recover() read the running sums without disturbing them,
-// so measurements-to-disclosure curves and key-rank trajectories are
-// byproducts of one pass: add traces up to each probe point, emit, and
-// keep going — O(n·m·guesses) total instead of O(prefixes·n·m·guesses).
-// add_prefix() is the one ingest entry point. Accumulation order is
-// trace order regardless of blocking, so one-row add_prefix() calls,
-// one bulk call, and the fused campaign's chunked feed all produce
-// bit-identical results.
+// and ingest is one row_add into S[class(pt)] plus the per-sample
+// moments, always in trace order. The state is therefore a function of
+// the trace stream alone: blocking, interleaved reads, thread counts
+// and kernel arms never change a bit of serialize_state().
 //
-// The hot loops themselves live in qdi/dpa/kernels.hpp: a table with a
-// portable and an AVX2 arm, picked once at load. Both arms vectorize
-// over the sample axis only — each accumulator cell receives
-// contributions in trace order with no reassociation and no FMA
-// contraction — so the dispatch choice (and QDI_FORCE_PORTABLE) never
-// changes a single result bit.
+// Reads (finalize, correlation_trace, bias, recover, recover_single)
+// go through a combined cache, allocated on the first read:
+//
+//   CPA:  sum_hs[g][j] = sum_c h(c,g)·S[c][j],  sum_h, sum_h2 from counts
+//   DPA:  sum1[b][g][j] = sum_c D_b(c,g)·S[c][j], n1[b][g] from counts
+//
+// The first read after construction, merge(), restore_state() or
+// reset() builds the cache from every non-empty class, in class order.
+// While a cache exists, ingest also adds each trace into a pending row
+// of its class, and a later read folds only the classes touched since
+// the previous read. A read therefore costs at most min(Δn, V)·G·m
+// multiply-adds (V classes, G guesses, m samples; DPA times the bit
+// count) — never more than a per-trace all-guess update of the same Δn
+// traces — and a read with nothing pending is free.
+//
+// Determinism contract: the state is schedule-free (above). Read
+// results are a function of the trace stream AND the read schedule,
+// at rounding level: a fold adds each class's pending sum separately
+// instead of its total, so a read every k traces ends within ~1e-12
+// relative of one final read (tests/test_online_analysis.cpp), with
+// the same discrete outcomes on leaking targets. Equal streams read at
+// equal points give bit-identical results.
+//
+// The reads are const but update the cache, so one accumulator must
+// not be read from two threads at once.
+//
+// The hot loops live in qdi/dpa/kernels.hpp: a table with a portable
+// and an AVX2 arm, picked once at load. Both arms vectorize over the
+// sample axis only — each cell receives its contributions in the same
+// order with no reassociation and no FMA contraction — so the dispatch
+// choice (and QDI_FORCE_PORTABLE) never changes a single result bit.
 #pragma once
 
 #include <cstdint>
@@ -90,13 +111,75 @@ class MtdScan {
   std::size_t candidate_ = 0;
 };
 
+namespace detail {
+
+/// Per-class running sums of one plaintext byte (see the file comment).
+/// Shared by OnlineCpa (one table) and OnlineDpa (one per distinct
+/// byte its selection bits read).
+class ClassTable {
+ public:
+  /// The class key of byte value v is the `width` LUT entries at
+  /// block + v * width of every block; values with bitwise-equal keys
+  /// share a class. Classes are numbered in order of their smallest
+  /// member.
+  ClassTable(int byte, const std::vector<const double*>& blocks,
+             std::size_t width);
+
+  int byte() const noexcept { return byte_; }
+  std::size_t num_classes() const noexcept { return rep_.size(); }
+  /// Smallest byte value of class c (its LUT row stands for the class).
+  std::uint8_t rep(std::size_t c) const noexcept { return rep_[c]; }
+  const std::vector<std::uint64_t>& counts() const noexcept { return count_; }
+  /// Sum row of class c, or nullptr while no trace of c was added (the
+  /// rows are allocated on first touch, so a short run that sees a few
+  /// classes never pays for the whole table).
+  const double* row(std::size_t c) const noexcept {
+    return sum_[c].empty() ? nullptr : sum_[c].data();
+  }
+
+  /// Add one trace row of plaintext byte value v. With `pending`, the
+  /// row is also added to its class's pending row for the next fold.
+  void add(const double* row, std::uint8_t v, std::size_t m,
+           const kernels::KernelTable& k, bool pending);
+  /// The rows a read folds, in class order, with their classes'
+  /// representatives: every non-empty class's total (`full`), or the
+  /// pending rows of the classes touched since the last read. Pending
+  /// rows stay valid until clear_pending().
+  void fold_rows(bool full, std::size_t m, std::vector<const double*>& rows,
+                 std::vector<std::uint8_t>& reps) const;
+  void clear_pending() const;
+
+  /// counts += o.counts, sums += o.sums (the same class map).
+  void merge(const ClassTable& o, std::size_t m);
+  /// Replace counts and sums with a snapshot's (classes × m flat sums;
+  /// sizes already checked). Rows of empty classes are not kept.
+  void assign(std::vector<std::uint64_t> counts,
+              const std::vector<double>& sums, std::size_t m);
+  /// Zero counts and sums and drop pending rows; keeps capacity.
+  void reset() noexcept;
+
+ private:
+  int byte_;
+  std::uint8_t cls_[256];
+  std::vector<std::uint8_t> rep_;
+  std::vector<std::uint64_t> count_;
+  std::vector<std::vector<double>> sum_;  ///< per class: m samples or empty
+  // Pending rows of the classes touched since the last read: slot_[c]
+  // indexes pending_ (-1 = untouched); sized by touch, not by classes.
+  mutable std::vector<std::int32_t> slot_;
+  mutable std::vector<double> pending_;
+  mutable std::size_t used_ = 0;
+};
+
+}  // namespace detail
+
 /// All-guess streaming CPA accumulator.
 class OnlineCpa {
  public:
-  /// The hypothesis LUT is tabulated here, once.
+  /// The hypothesis LUT and the class map are tabulated here, once.
   OnlineCpa(LeakageModel model, unsigned num_guesses);
 
-  /// Feed rows [lo, hi) of a trace set through the blocked kernel.
+  /// Feed rows [lo, hi) of a trace set: one class-row add per trace.
   /// Sample geometry is fixed by the first call. Throws
   /// std::invalid_argument when the model's plaintext byte lies outside
   /// the set's plaintext stride, or the sample count changed.
@@ -104,6 +187,9 @@ class OnlineCpa {
 
   std::size_t count() const noexcept { return n_; }
   unsigned num_guesses() const noexcept { return guesses_; }
+  /// Plaintext classes of the model (byte values it cannot tell apart
+  /// under any guess share one).
+  std::size_t num_classes() const noexcept { return table_.num_classes(); }
 
   /// Emit the CPA result for the traces fed so far (optionally windowed
   /// to samples [window_lo, window_hi)). Non-destructive: keep adding
@@ -114,24 +200,25 @@ class OnlineCpa {
   /// Full correlation trace rho[j] of one guess at the current prefix.
   std::vector<double> correlation_trace(unsigned guess) const;
 
-  /// Fold another accumulator's traces into this one. Every statistic is
-  /// an additive running sum, so merging N disjoint partial passes is
+  /// Fold another accumulator's traces into this one: class sums and
+  /// moments are added, so merging N disjoint partial passes is
   /// equivalent to one pass over the union — up to floating-point
   /// re-association (sums are added blockwise instead of trace by
   /// trace), which perturbs results at the 1e-12 level, not the
   /// attack-outcome level (tests/test_online_merge.cpp). Both sides must
-  /// share num_guesses and sample geometry (an empty side merges
-  /// trivially); `other` must have been built over the same leakage
-  /// model for the result to mean anything — that cannot be checked
-  /// here. Throws std::invalid_argument on mismatched geometry.
+  /// share num_guesses, class map and sample geometry (an empty side
+  /// merges trivially); `other` must have been built over the same
+  /// leakage model for the result to mean anything — that cannot be
+  /// checked here. Throws std::invalid_argument on mismatched geometry.
   void merge(const OnlineCpa& other);
 
-  /// Compact byte snapshot of the accumulator state (counts + running
-  /// sums; the model is NOT serialized — it is code, not data).
+  /// Compact byte snapshot of the accumulator state (counts, moments and
+  /// class sums; the model is NOT serialized — it is code, not data).
   /// restore_state() requires an accumulator constructed with the same
   /// model and num_guesses, and replaces its state wholesale. Round-trip
   /// is exact: serialize/restore reproduces bit-identical results. A
-  /// truncated, oversized, foreign, or geometry-mismatched buffer throws
+  /// truncated, oversized, foreign, or geometry-mismatched buffer (class
+  /// counts that do not sum to the trace count included) throws
   /// StateError with the matching kind and leaves this accumulator
   /// untouched (tests/test_online_merge.cpp fuzzes every truncation
   /// length).
@@ -151,8 +238,8 @@ class OnlineCpa {
 
  private:
   void ensure_geometry(std::size_t m);
-  void ingest(const double* const* rows, const double* const* hyp,
-              std::size_t cnt);
+  /// Bring the read cache up to date (build or fold; see file comment).
+  void sync() const;
   /// The cached per-sample variance scan shared by finalize() and
   /// correlation_trace(); recomputed only after ingest/merge/restore
   /// invalidated it, so repeated prefix probes in MTD scans pay it once.
@@ -164,9 +251,14 @@ class OnlineCpa {
   std::size_t m_ = 0;
   std::size_t n_ = 0;
   std::vector<double> lut_;       ///< hyp[v*guesses + g]
+  detail::ClassTable table_;
   std::vector<double> sum_s_, sum_s2_;  ///< per sample, shared by all guesses
-  std::vector<double> sum_h_, sum_h2_;  ///< per guess
-  std::vector<double> sum_hs_;          ///< guesses × m
+  // Read cache (see the file comment).
+  mutable bool cache_live_ = false;
+  mutable std::vector<double> sum_h_, sum_h2_;  ///< per guess
+  mutable std::vector<double> sum_hs_;          ///< guesses × m
+  mutable std::vector<const double*> fold_rows_;
+  mutable std::vector<std::uint8_t> fold_reps_;
   mutable std::vector<double> var_cache_;  ///< per-sample variances at n_
   mutable std::vector<double> rho_scratch_;  ///< finalize() scan buffer
   mutable bool var_valid_ = false;
@@ -178,12 +270,18 @@ class OnlineDpa {
   OnlineDpa(std::vector<SelectionFn> bits, unsigned num_guesses);
 
   /// Feed rows [lo, hi); see OnlineCpa::add_prefix (here every
-  /// selection bit's plaintext byte is checked).
+  /// selection bit's plaintext byte is checked, and each trace adds one
+  /// class row per distinct byte the bits read).
   void add_prefix(const TraceSet& ts, std::size_t lo, std::size_t hi);
 
   std::size_t count() const noexcept { return n_; }
   unsigned num_guesses() const noexcept { return guesses_; }
   std::size_t num_bits() const noexcept { return bits_.size(); }
+  /// Plaintext classes of the byte that selection bit `bit` reads (all
+  /// bits reading that byte are considered together).
+  std::size_t num_classes(std::size_t bit = 0) const noexcept {
+    return tables_[table_of_[bit]].num_classes();
+  }
 
   /// Bias signal T[j] = A0[j] - A1[j] of one (guess, bit) at the current
   /// prefix, with peak statistics restricted to `window`.
@@ -206,9 +304,9 @@ class OnlineDpa {
 
   /// State snapshot / restore; see OnlineCpa (same StateError contract:
   /// malformed buffers are rejected wholesale, the accumulator keeps its
-  /// prior state; a set-1 count above the trace count is a Geometry
-  /// error). restore_state() requires the same selection bits and
-  /// num_guesses at construction.
+  /// prior state; class counts that do not sum to the trace count are a
+  /// Geometry error). restore_state() requires the same selection bits
+  /// and num_guesses at construction.
   std::vector<std::uint8_t> serialize_state() const;
   void restore_state(std::span<const std::uint8_t> bytes);
 
@@ -222,8 +320,7 @@ class OnlineDpa {
 
  private:
   void ensure_geometry(std::size_t m);
-  void ingest(const double* const* rows, const std::uint8_t* const* pts,
-              std::size_t cnt);
+  void sync() const;
   double peak_of(unsigned guess, std::size_t bit, SampleWindow window) const;
 
   std::vector<SelectionFn> bits_;
@@ -232,9 +329,15 @@ class OnlineDpa {
   std::size_t m_ = 0;
   std::size_t n_ = 0;
   std::vector<double> lut_;      ///< d[(b*256 + v)*guesses + g] in {0.0, 1.0}
+  std::vector<detail::ClassTable> tables_;  ///< one per distinct byte
+  std::vector<std::size_t> table_of_;       ///< bit -> its byte's table
   std::vector<double> sum_s_;       ///< per sample, shared
-  std::vector<std::uint32_t> n1_;   ///< bits × guesses
-  std::vector<double> sum1_;        ///< bits × guesses × m
+  // Read cache (see the file comment).
+  mutable bool cache_live_ = false;
+  mutable std::vector<std::uint64_t> n1_;  ///< bits × guesses
+  mutable std::vector<double> sum1_;       ///< bits × guesses × m
+  mutable std::vector<const double*> fold_rows_;
+  mutable std::vector<std::uint8_t> fold_reps_;
 };
 
 }  // namespace qdi::dpa

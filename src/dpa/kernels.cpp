@@ -1,5 +1,6 @@
 #include "qdi/dpa/kernels.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "qdi/util/cpu.hpp"
@@ -107,65 +108,71 @@ __attribute__((target("avx2"))) void cpa_moments_avx2(
   }
 }
 
-// The hot loop of the whole analysis engine: guesses x m accumulator
-// rows, every trace. Guesses are walked in pairs so one s[j] vector
-// load feeds two accumulator rows (the trace row is the only stream
-// the unpaired form reloads per guess). Pairing never reorders a
-// cell's contributions — both rows still see traces in ascending c —
-// and a pair member with h == 0.0 falls back to the single-row form,
-// preserving the portable arm's exact skip decisions.
-__attribute__((target("avx2"))) void rank_row_avx2(double* dst, double h,
-                                                   const double* s,
-                                                   std::size_t m) {
-  const __m256d hv = _mm256_set1_pd(h);
+// Row-tiled accumulation shared by the two read kernels: for each
+// sample tile, dst stays in registers while the k rows are added in
+// order, acc = acc + w[i] * rows[i][j]. Per cell that is exactly the
+// portable arm's sequence of mul-then-add in row order — only the dst
+// loads and stores between rows are gone, which is what bounds a read
+// that folds many class rows into the same accumulator row.
+__attribute__((target("avx2"))) void tiled_rows_avx2(
+    double* dst, const double* const* rows, const double* w, std::size_t k,
+    std::size_t m) {
   std::size_t j = 0;
-  for (; j + 4 <= m; j += 4) {
-    const __m256d prod = _mm256_mul_pd(hv, _mm256_loadu_pd(s + j));
-    _mm256_storeu_pd(dst + j, _mm256_add_pd(_mm256_loadu_pd(dst + j), prod));
+  for (; j + 16 <= m; j += 16) {
+    __m256d a0 = _mm256_loadu_pd(dst + j);
+    __m256d a1 = _mm256_loadu_pd(dst + j + 4);
+    __m256d a2 = _mm256_loadu_pd(dst + j + 8);
+    __m256d a3 = _mm256_loadu_pd(dst + j + 12);
+    for (std::size_t i = 0; i < k; ++i) {
+      const __m256d wv = _mm256_set1_pd(w[i]);
+      const double* s = rows[i] + j;
+      a0 = _mm256_add_pd(a0, _mm256_mul_pd(wv, _mm256_loadu_pd(s)));
+      a1 = _mm256_add_pd(a1, _mm256_mul_pd(wv, _mm256_loadu_pd(s + 4)));
+      a2 = _mm256_add_pd(a2, _mm256_mul_pd(wv, _mm256_loadu_pd(s + 8)));
+      a3 = _mm256_add_pd(a3, _mm256_mul_pd(wv, _mm256_loadu_pd(s + 12)));
+    }
+    _mm256_storeu_pd(dst + j, a0);
+    _mm256_storeu_pd(dst + j + 4, a1);
+    _mm256_storeu_pd(dst + j + 8, a2);
+    _mm256_storeu_pd(dst + j + 12, a3);
   }
-  for (; j < m; ++j) dst[j] += h * s[j];
+  for (; j + 4 <= m; j += 4) {
+    __m256d a = _mm256_loadu_pd(dst + j);
+    for (std::size_t i = 0; i < k; ++i)
+      a = _mm256_add_pd(a, _mm256_mul_pd(_mm256_set1_pd(w[i]),
+                                         _mm256_loadu_pd(rows[i] + j)));
+    _mm256_storeu_pd(dst + j, a);
+  }
+  for (; j < m; ++j) {
+    double a = dst[j];
+    for (std::size_t i = 0; i < k; ++i) a += w[i] * rows[i][j];
+    dst[j] = a;
+  }
 }
 
+/// Rows per tiled pass; longer row lists are walked in order, in chunks.
+constexpr std::size_t kTileRows = 32;
+
+// The CPA read: guesses x m accumulator rows, every folded class row.
+// Per guess, the rows with a nonzero hypothesis (the portable arm's
+// skip decision) are gathered in order and added tile by tile.
 __attribute__((target("avx2"))) void cpa_rank_update_avx2(
     double* sum_hs, const double* const* rows, const double* const* hyp,
     std::size_t cnt, unsigned guesses, std::size_t m) {
-  unsigned g = 0;
-  for (; g + 2 <= guesses; g += 2) {
-    double* dst0 = sum_hs + static_cast<std::size_t>(g) * m;
-    double* dst1 = dst0 + m;
-    for (std::size_t c = 0; c < cnt; ++c) {
-      const double h0 = hyp[c][g];
-      const double h1 = hyp[c][g + 1];
-      const double* s = rows[c];
-      if (h0 != 0.0 && h1 != 0.0) {
-        const __m256d h0v = _mm256_set1_pd(h0);
-        const __m256d h1v = _mm256_set1_pd(h1);
-        std::size_t j = 0;
-        for (; j + 4 <= m; j += 4) {
-          const __m256d sv = _mm256_loadu_pd(s + j);
-          _mm256_storeu_pd(
-              dst0 + j, _mm256_add_pd(_mm256_loadu_pd(dst0 + j),
-                                      _mm256_mul_pd(h0v, sv)));
-          _mm256_storeu_pd(
-              dst1 + j, _mm256_add_pd(_mm256_loadu_pd(dst1 + j),
-                                      _mm256_mul_pd(h1v, sv)));
-        }
-        for (; j < m; ++j) {
-          dst0[j] += h0 * s[j];
-          dst1[j] += h1 * s[j];
-        }
-      } else {
-        if (h0 != 0.0) rank_row_avx2(dst0, h0, s, m);
-        if (h1 != 0.0) rank_row_avx2(dst1, h1, s, m);
-      }
-    }
-  }
-  for (; g < guesses; ++g) {
+  const double* nz_rows[kTileRows];
+  double nz_h[kTileRows];
+  for (unsigned g = 0; g < guesses; ++g) {
     double* dst = sum_hs + static_cast<std::size_t>(g) * m;
-    for (std::size_t c = 0; c < cnt; ++c) {
-      const double h = hyp[c][g];
-      if (h == 0.0) continue;
-      rank_row_avx2(dst, h, rows[c], m);
+    for (std::size_t c0 = 0; c0 < cnt; c0 += kTileRows) {
+      const std::size_t c1 = std::min(cnt, c0 + kTileRows);
+      std::size_t k = 0;
+      for (std::size_t c = c0; c < c1; ++c) {
+        const double h = hyp[c][g];
+        if (h == 0.0) continue;
+        nz_rows[k] = rows[c];
+        nz_h[k++] = h;
+      }
+      if (k > 0) tiled_rows_avx2(dst, nz_rows, nz_h, k, m);
     }
   }
 }
@@ -184,17 +191,9 @@ __attribute__((target("avx2"))) void row_add_avx2(double* dst,
 __attribute__((target("avx2"))) void masked_sum_avx2(
     double* dst, const double* const* rows, const double* mask,
     std::size_t cnt, std::size_t m) {
-  for (std::size_t c = 0; c < cnt; ++c) {
-    const double w = mask[c];
-    const double* s = rows[c];
-    const __m256d wv = _mm256_set1_pd(w);
-    std::size_t j = 0;
-    for (; j + 4 <= m; j += 4) {
-      const __m256d prod = _mm256_mul_pd(wv, _mm256_loadu_pd(s + j));
-      _mm256_storeu_pd(dst + j,
-                       _mm256_add_pd(_mm256_loadu_pd(dst + j), prod));
-    }
-    for (; j < m; ++j) dst[j] += w * s[j];
+  for (std::size_t c0 = 0; c0 < cnt; c0 += kTileRows) {
+    const std::size_t k = std::min(kTileRows, cnt - c0);
+    tiled_rows_avx2(dst, rows + c0, mask + c0, k, m);
   }
 }
 

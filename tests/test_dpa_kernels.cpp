@@ -3,9 +3,12 @@
 //  * the AVX2 arm (when the host supports it) is fuzzed against the
 //    portable arm over awkward geometries — odd sample counts,
 //    vector-width±1 tails, 1/5/256 guesses, one-row and co-prime
-//    add_prefix() chunks — and must leave BIT-identical accumulator
-//    state and emit bit-identical finalize()/correlation_trace()
-//    results (the determinism contract of qdi/dpa/kernels.hpp);
+//    add_prefix() chunks, reads mid-stream — and must leave
+//    BIT-identical accumulator state and emit bit-identical
+//    finalize()/correlation_trace()/recover()/bias() results, which
+//    pins the read-side kernels (cpa_rank_update, masked_sum,
+//    corr_scan) as well as the ingest ones (the determinism contract
+//    of qdi/dpa/kernels.hpp);
 //  * the cached per-sample variance scan is invalidated by
 //    ingest/merge/restore (a stale cache would poison every prefix
 //    probe after the first);
@@ -43,8 +46,9 @@ qd::TraceSet random_traces(std::size_t n, std::size_t m, qu::Rng& rng) {
 
 /// Feed `ts` through `acc` in deliberately awkward chunkings: one-row
 /// add_prefix() calls at the front, then chunks of co-prime widths.
-template <typename Acc>
-void feed_awkward(Acc& acc, const qd::TraceSet& ts) {
+/// `probe` runs after every third chunk, so reads fold pending classes.
+template <typename Acc, typename Probe>
+void feed_awkward(Acc& acc, const qd::TraceSet& ts, Probe probe) {
   std::size_t i = 0;
   for (; i < std::min<std::size_t>(3, ts.size()); ++i)
     acc.add_prefix(ts, i, i + 1);
@@ -54,8 +58,13 @@ void feed_awkward(Acc& acc, const qd::TraceSet& ts) {
     const std::size_t hi = std::min(ts.size(), i + widths[w % 4]);
     acc.add_prefix(ts, i, hi);
     i = hi;
-    ++w;
+    if (++w % 3 == 0) probe(acc);
   }
+}
+
+template <typename Acc>
+void feed_awkward(Acc& acc, const qd::TraceSet& ts) {
+  feed_awkward(acc, ts, [](const Acc&) {});
 }
 
 }  // namespace
@@ -88,15 +97,23 @@ TEST(KernelArms, CpaStateBitIdenticalAcrossArms) {
     for (const unsigned guesses : {1u, 5u, 256u}) {
       const std::size_t n = 24 + rng.below(16);
       const qd::TraceSet ts = random_traces(n, m, rng);
+      // Both arms read at the same points: the mid-stream reads and the
+      // folds they trigger must match bit for bit too.
+      std::vector<std::vector<double>> ref_probes, probes;
       qd::OnlineCpa ref(model, guesses);
       ref.set_kernels(*qk::table(qk::Kind::Portable));
-      feed_awkward(ref, ts);
+      feed_awkward(ref, ts, [&](const qd::OnlineCpa& a) {
+        ref_probes.push_back(a.finalize().correlation);
+      });
       qd::OnlineCpa acc(model, guesses);
       acc.set_kernels(*avx2);
-      feed_awkward(acc, ts);
+      feed_awkward(acc, ts, [&](const qd::OnlineCpa& a) {
+        probes.push_back(a.finalize().correlation);
+      });
       // The whole running-sum state, byte for byte: no tolerance.
       EXPECT_EQ(acc.serialize_state(), ref.serialize_state())
           << "m=" << m << " guesses=" << guesses;
+      EXPECT_EQ(probes, ref_probes) << "m=" << m << " guesses=" << guesses;
       const qd::CpaResult ref_fin = ref.finalize(1, m > 2 ? m - 1 : m);
       const qd::CpaResult fin = acc.finalize(1, m > 2 ? m - 1 : m);
       EXPECT_EQ(fin.best_guess, ref_fin.best_guess);
@@ -114,27 +131,84 @@ TEST(KernelArms, DpaStateBitIdenticalAcrossArms) {
   const qk::KernelTable* avx2 = qk::table(qk::Kind::Avx2);
   if (avx2 == nullptr) GTEST_SKIP() << "no AVX2 arm on this build/CPU";
   qu::Rng rng(0x52u);
+  // Two bits on byte 0 share a class table; the third reads byte 1.
   const std::vector<qd::SelectionFn> bits = {qd::aes_sbox_selection(0, 0),
-                                             qd::aes_sbox_selection(0, 3)};
+                                             qd::aes_sbox_selection(0, 3),
+                                             qd::aes_sbox_selection(1, 5)};
   for (const std::size_t m : {std::size_t{1}, std::size_t{7}, std::size_t{8},
                               std::size_t{9}, std::size_t{33},
                               std::size_t{130}}) {
     for (const unsigned guesses : {1u, 5u, 256u}) {
       const std::size_t n = 24 + rng.below(16);
       const qd::TraceSet ts = random_traces(n, m, rng);
+      std::vector<std::vector<double>> ref_probes, probes;
       qd::OnlineDpa ref(bits, guesses);
       ref.set_kernels(*qk::table(qk::Kind::Portable));
-      feed_awkward(ref, ts);
+      feed_awkward(ref, ts, [&](const qd::OnlineDpa& a) {
+        ref_probes.push_back(a.recover().guess_peak);
+      });
       qd::OnlineDpa acc(bits, guesses);
       acc.set_kernels(*avx2);
-      feed_awkward(acc, ts);
+      feed_awkward(acc, ts, [&](const qd::OnlineDpa& a) {
+        probes.push_back(a.recover().guess_peak);
+      });
       EXPECT_EQ(acc.serialize_state(), ref.serialize_state())
           << "m=" << m << " guesses=" << guesses;
+      EXPECT_EQ(probes, ref_probes) << "m=" << m << " guesses=" << guesses;
       const qd::KeyRecoveryResult ref_rec = ref.recover();
       const qd::KeyRecoveryResult rec = acc.recover();
       EXPECT_EQ(rec.best_guess, ref_rec.best_guess);
       for (unsigned g = 0; g < guesses; ++g)
         EXPECT_EQ(rec.guess_peak[g], ref_rec.guess_peak[g]);
+      EXPECT_EQ(acc.recover_single(1).guess_peak,
+                ref.recover_single(1).guess_peak);
+      for (unsigned g = 0; g < guesses; ++g) {
+        for (std::size_t b = 0; b < bits.size(); ++b) {
+          const qd::BiasResult rb = ref.bias(g, b);
+          const qd::BiasResult ab = acc.bias(g, b);
+          EXPECT_EQ(ab.n1, rb.n1);
+          EXPECT_EQ(ab.bias, rb.bias) << "g=" << g << " bit=" << b;
+          EXPECT_EQ(ab.peak, rb.peak);
+          EXPECT_EQ(ab.integrated, rb.integrated);
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelArms, ReadKernelsBitIdenticalOnLongRowLists) {
+  // The accumulators fold at most 16 class rows per kernel call; the
+  // kernels accept any row count, so pin longer lists (and hypothesis
+  // rows with zeros, which both arms must skip alike) directly.
+  const qk::KernelTable* avx2 = qk::table(qk::Kind::Avx2);
+  if (avx2 == nullptr) GTEST_SKIP() << "no AVX2 arm on this build/CPU";
+  const qk::KernelTable& ref = *qk::table(qk::Kind::Portable);
+  qu::Rng rng(0x55u);
+  for (const std::size_t m : {std::size_t{3}, std::size_t{21},
+                              std::size_t{37}}) {
+    for (const std::size_t cnt : {std::size_t{1}, std::size_t{33},
+                                  std::size_t{70}}) {
+      const unsigned guesses = 5;
+      std::vector<std::vector<double>> data(cnt, std::vector<double>(m));
+      std::vector<std::vector<double>> hyp(cnt, std::vector<double>(guesses));
+      std::vector<const double*> rows, hyps;
+      std::vector<double> mask(cnt);
+      for (std::size_t c = 0; c < cnt; ++c) {
+        for (double& v : data[c]) v = rng.gaussian(0.0, 3.0);
+        for (double& h : hyp[c]) h = static_cast<double>(rng.below(3));
+        mask[c] = static_cast<double>(rng.below(2));
+        rows.push_back(data[c].data());
+        hyps.push_back(hyp[c].data());
+      }
+      std::vector<double> a(guesses * m, 0.5), b = a;
+      ref.cpa_rank_update(a.data(), rows.data(), hyps.data(), cnt, guesses, m);
+      avx2->cpa_rank_update(b.data(), rows.data(), hyps.data(), cnt, guesses,
+                            m);
+      EXPECT_EQ(a, b) << "cpa_rank_update m=" << m << " cnt=" << cnt;
+      std::vector<double> c(m, -1.25), d = c;
+      ref.masked_sum(c.data(), rows.data(), mask.data(), cnt, m);
+      avx2->masked_sum(d.data(), rows.data(), mask.data(), cnt, m);
+      EXPECT_EQ(c, d) << "masked_sum m=" << m << " cnt=" << cnt;
     }
   }
 }
@@ -148,17 +222,22 @@ TEST(KernelArms, VarianceCacheInvalidatedByIngestMergeRestore) {
 
   // finalize – ingest – finalize must equal a fresh single-shot feed
   // (a stale variance cache from the first finalize would poison the
-  // second).
+  // second). The state is bitwise equal; the second read folds the
+  // classes touched since the first, so the results agree to rounding
+  // (read-schedule contract, qdi/dpa/online.hpp).
   qd::OnlineCpa probed(model, 16);
   probed.add_prefix(ts, 0, 30);
   (void)probed.finalize();           // populates the cache at n=30
   probed.add_prefix(ts, 30, 60);     // must invalidate it
   qd::OnlineCpa fresh(model, 16);
   fresh.add_prefix(ts, 0, 60);
+  EXPECT_EQ(probed.serialize_state(), fresh.serialize_state());
   const qd::CpaResult a = probed.finalize();
   const qd::CpaResult b = fresh.finalize();
   for (unsigned g = 0; g < 16; ++g)
-    EXPECT_EQ(a.correlation[g], b.correlation[g]) << "g=" << g;
+    EXPECT_NEAR(a.correlation[g], b.correlation[g],
+                1e-12 * std::fabs(b.correlation[g]))
+        << "g=" << g;
 
   // Same rule through merge() ...
   qd::OnlineCpa left(model, 16), right(model, 16);

@@ -6,6 +6,9 @@
 //    here, to 1e-12 (the naive oracles call the predictor per trace, so
 //    they also check the engine's LUT tabulation);
 //  * one-row add_prefix() feeds vs one bulk call, bit-identical state;
+//  * the class-table contract: state independent of interleaved reads,
+//    a read every 8 traces within 1e-12 of one final read, the class
+//    map (64 DES / 256 AES classes), bits on two plaintext bytes;
 //  * a predictor whose plaintext byte lies past the set's plaintext
 //    stride is rejected before any state moves;
 //  * CpaResult/KeyRecoveryResult tie handling (ties rank below);
@@ -116,6 +119,7 @@ TEST(OnlineCpa, MatchesNaiveFormulasOnRandomInputs) {
 
     // A handful of prefixes per trial, online sums advanced once.
     qd::OnlineCpa acc(model, guesses);
+    std::size_t reads = 0;
     for (const std::size_t prefix : {n / 3, n / 2, n}) {
       if (prefix == 0 || prefix < acc.count()) continue;
       acc.add_prefix(ts, acc.count(), prefix);
@@ -128,10 +132,20 @@ TEST(OnlineCpa, MatchesNaiveFormulasOnRandomInputs) {
         EXPECT_NEAR(r.correlation[g], peak, 1e-12)
             << "trial " << trial << " prefix " << prefix << " guess " << g;
       }
-      // The batch wrapper is the same engine: exact agreement.
+      // The batch wrapper is the same engine. At the first probe both
+      // read once: exact agreement. Later probes fold the classes
+      // touched since the previous read, so they agree with the batch
+      // wrapper's single read to rounding (read-schedule contract,
+      // qdi/dpa/online.hpp).
       const qd::CpaResult batch = qd::cpa_attack(ts, model, guesses, prefix);
-      for (unsigned g = 0; g < guesses; ++g)
-        EXPECT_DOUBLE_EQ(r.correlation[g], batch.correlation[g]);
+      const bool first_read = reads++ == 0;
+      for (unsigned g = 0; g < guesses; ++g) {
+        if (first_read)
+          EXPECT_DOUBLE_EQ(r.correlation[g], batch.correlation[g]);
+        else
+          EXPECT_NEAR(r.correlation[g], batch.correlation[g],
+                      1e-12 * std::fabs(batch.correlation[g]));
+      }
       EXPECT_EQ(r.best_guess, batch.best_guess);
     }
   }
@@ -148,6 +162,7 @@ TEST(OnlineDpa, MatchesNaiveFormulasOnRandomInputs) {
     const qd::SelectionFn d = qd::aes_sbox_selection(0, bit);
 
     qd::OnlineDpa acc({d}, guesses);
+    std::size_t reads = 0;
     for (const std::size_t prefix : {n / 2, n}) {
       if (prefix == 0 || prefix < acc.count()) continue;
       acc.add_prefix(ts, acc.count(), prefix);
@@ -159,12 +174,19 @@ TEST(OnlineDpa, MatchesNaiveFormulasOnRandomInputs) {
           EXPECT_NEAR(b.bias[j], ref[j], 1e-12)
               << "trial " << trial << " guess " << g << " sample " << j;
       }
-      // Wrapper agreement (same engine, same order): exact.
+      // Wrapper agreement (same engine): exact at the first read, to
+      // rounding once a read folds (see OnlineCpa above).
       const qd::KeyRecoveryResult batch =
           qd::recover_key(ts, d, guesses, prefix);
       const qd::KeyRecoveryResult online = acc.recover();
-      for (unsigned g = 0; g < guesses; ++g)
-        EXPECT_DOUBLE_EQ(online.guess_peak[g], batch.guess_peak[g]);
+      const bool first_read = reads++ == 0;
+      for (unsigned g = 0; g < guesses; ++g) {
+        if (first_read)
+          EXPECT_DOUBLE_EQ(online.guess_peak[g], batch.guess_peak[g]);
+        else
+          EXPECT_NEAR(online.guess_peak[g], batch.guess_peak[g],
+                      1e-12 * std::fabs(batch.guess_peak[g]));
+      }
     }
   }
 }
@@ -189,6 +211,145 @@ TEST(OnlineAnalysis, OneRowAddPrefixAgreesWithBulkAddPrefix) {
   qd::OnlineDpa dpa_bulk(bits, 16);
   dpa_bulk.add_prefix(ts, 0, ts.size());
   EXPECT_EQ(dpa_one.serialize_state(), dpa_bulk.serialize_state());
+}
+
+// ---- class tables and the read-schedule contract ---------------------------
+
+namespace {
+
+/// Planted first-order leak: sample 7 carries 1.5 x HW(SBOX(p0 ^ key)),
+/// the rest is gaussian noise (2-byte plaintexts).
+qd::TraceSet leaking_traces(std::size_t n, std::uint8_t key, qu::Rng& rng) {
+  qd::TraceSet ts;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint8_t p = rng.byte();
+    qp::PowerTrace t(0.0, 10.0, 24);
+    for (std::size_t j = 0; j < 24; ++j) t[j] = rng.gaussian(0.0, 1.0);
+    t[7] += 1.5 * static_cast<double>(__builtin_popcount(
+                      qdi::crypto::aes_sbox(static_cast<std::uint8_t>(p ^ key))));
+    ts.add(t, {p, rng.byte()});
+  }
+  return ts;
+}
+
+void expect_relatively_near(const std::vector<double>& a,
+                            const std::vector<double>& b, double rel) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i)
+    EXPECT_NEAR(a[i], b[i], rel * std::fabs(b[i])) << "index " << i;
+}
+
+}  // namespace
+
+TEST(OnlineAnalysis, StateIsIndependentOfInterleavedReads) {
+  qu::Rng rng(0x61);
+  const qd::TraceSet ts = random_traces(90, 13, rng);
+  const qd::LeakageModel model = qd::aes_sbox_hw_model(1);
+  qd::OnlineCpa quiet(model, 32), probed(model, 32);
+  quiet.add_prefix(ts, 0, ts.size());
+  for (std::size_t i = 0; i < ts.size(); i += 7) {
+    probed.add_prefix(ts, i, i + 7);
+    (void)probed.finalize();
+    if (i % 21 == 0) (void)probed.correlation_trace(3);
+  }
+  EXPECT_EQ(probed.serialize_state(), quiet.serialize_state());
+
+  const std::vector<qd::SelectionFn> bits = {qd::aes_sbox_selection(0, 2),
+                                             qd::aes_sbox_selection(1, 6)};
+  qd::OnlineDpa dquiet(bits, 32), dprobed(bits, 32);
+  dquiet.add_prefix(ts, 0, ts.size());
+  for (std::size_t i = 0; i < ts.size(); i += 5) {
+    dprobed.add_prefix(ts, i, i + 5);
+    (void)dprobed.recover();
+    if (i % 15 == 0) (void)dprobed.bias(4, 1);
+  }
+  EXPECT_EQ(dprobed.serialize_state(), dquiet.serialize_state());
+}
+
+TEST(OnlineAnalysis, ReadEveryEightTracesMatchesOneFinalRead) {
+  const std::uint8_t key = 0xa7;
+  qu::Rng rng(0x62);
+  const qd::TraceSet ts = leaking_traces(600, key, rng);
+
+  const qd::LeakageModel model = qd::aes_sbox_hw_model(0);
+  qd::OnlineCpa once(model, 256), every8(model, 256);
+  once.add_prefix(ts, 0, ts.size());
+  for (std::size_t i = 0; i < ts.size(); i += 8) {
+    every8.add_prefix(ts, i, i + 8);
+    (void)every8.finalize();
+  }
+  const qd::CpaResult a = every8.finalize();
+  const qd::CpaResult b = once.finalize();
+  expect_relatively_near(a.correlation, b.correlation, 1e-12);
+  EXPECT_EQ(a.best_guess, key);
+  EXPECT_EQ(b.best_guess, key);
+  EXPECT_EQ(a.rank_of(key), b.rank_of(key));
+  expect_relatively_near(every8.correlation_trace(key),
+                         once.correlation_trace(key), 1e-12);
+
+  const std::vector<qd::SelectionFn> bits = {qd::aes_sbox_selection(0, 0),
+                                             qd::aes_sbox_selection(0, 7)};
+  qd::OnlineDpa donce(bits, 256), devery8(bits, 256);
+  donce.add_prefix(ts, 0, ts.size());
+  for (std::size_t i = 0; i < ts.size(); i += 8) {
+    devery8.add_prefix(ts, i, i + 8);
+    (void)devery8.recover();
+  }
+  const qd::KeyRecoveryResult da = devery8.recover();
+  const qd::KeyRecoveryResult db = donce.recover();
+  expect_relatively_near(da.guess_peak, db.guess_peak, 1e-12);
+  EXPECT_EQ(da.best_guess, key);
+  EXPECT_EQ(db.best_guess, key);
+  EXPECT_EQ(da.rank_of(key), db.rank_of(key));
+  expect_relatively_near(devery8.bias(key, 1).bias, donce.bias(key, 1).bias,
+                         1e-12);
+}
+
+TEST(OnlineAnalysis, ClassMapFollowsThePredictors) {
+  // DES predictors read the 6-bit S-box input, so v and v ^ 0x40 (and
+  // the top two bits in general) are indistinguishable: 64 classes.
+  const qd::OnlineCpa des_cpa(qd::des_sbox_hw_model(1), 64);
+  EXPECT_EQ(des_cpa.num_classes(), 64u);
+  std::vector<qd::SelectionFn> des_bits;
+  for (int b = 0; b < 4; ++b) des_bits.push_back(qd::des_sbox_selection(1, b));
+  const qd::OnlineDpa des_dpa(des_bits, 64);
+  EXPECT_EQ(des_dpa.num_classes(), 64u);
+
+  // AES predictors separate every byte value: 256 classes.
+  const qd::OnlineCpa aes_cpa(qd::aes_sbox_hw_model(0), 256);
+  EXPECT_EQ(aes_cpa.num_classes(), 256u);
+  std::vector<qd::SelectionFn> aes_bits;
+  for (int b = 0; b < 8; ++b) aes_bits.push_back(qd::aes_sbox_selection(0, b));
+  const qd::OnlineDpa aes_dpa(aes_bits, 256);
+  EXPECT_EQ(aes_dpa.num_classes(), 256u);
+
+  // A single guess collapses a selection bit to its two decisions.
+  const qd::OnlineDpa pinned({qd::aes_sbox_selection(0, 3).pinned(9)}, 1);
+  EXPECT_EQ(pinned.num_classes(), 2u);
+}
+
+TEST(OnlineDpa, BitsOnTwoPlaintextBytesMatchNaiveBias) {
+  qu::Rng rng(0x63);
+  const qd::TraceSet ts = random_traces(120, 17, rng);
+  const std::vector<qd::SelectionFn> bits = {qd::aes_sbox_selection(0, 1),
+                                             qd::aes_sbox_selection(1, 4),
+                                             qd::aes_xor_selection(1, 2)};
+  const unsigned guesses = 12;
+  qd::OnlineDpa acc(bits, guesses);
+  for (const std::size_t prefix : {std::size_t{40}, std::size_t{77},
+                                   std::size_t{120}}) {
+    acc.add_prefix(ts, acc.count(), prefix);
+    for (unsigned g = 0; g < guesses; ++g) {
+      for (std::size_t b = 0; b < bits.size(); ++b) {
+        const qd::BiasResult r = acc.bias(g, b);
+        const std::vector<double> ref = naive_bias(ts, bits[b], g, prefix);
+        ASSERT_EQ(r.bias.size(), ref.size());
+        for (std::size_t j = 0; j < ref.size(); ++j)
+          EXPECT_NEAR(r.bias[j], ref[j], 1e-12)
+              << "prefix " << prefix << " guess " << g << " bit " << b;
+      }
+    }
+  }
 }
 
 TEST(OnlineAnalysis, PredictorByteOutsidePlaintextStrideThrows) {

@@ -6,16 +6,22 @@
 // split + merge must agree with one single-pass accumulator over the
 // whole stream up to floating-point re-association (1e-12), and the
 // integer statistics (counts, DPA partition sizes) must agree exactly.
-// serialize_state()/restore_state() round-trips are bit-exact.
+// serialize_state()/restore_state() round-trips are bit-exact, and the
+// class-table state a shard commits does not depend on thread counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "qdi/qdi.hpp"
 
+namespace qc = qdi::campaign;
 namespace qd = qdi::dpa;
 namespace qp = qdi::power;
 namespace qu = qdi::util;
@@ -263,34 +269,75 @@ TEST(OnlineMerge, MalformedOrMismatchedSnapshotThrowsNamedErrors) {
   EXPECT_EQ(restore_kind(dpa, cpa_snap), qd::StateError::Kind::BadMagic);
 }
 
-TEST(OnlineMerge, DpaRestoreRejectsSetOneCountAboveTraceCount) {
-  // A well-framed 4-trace snapshot whose first set-1 count is patched to
-  // 9: bias() would report n0 = n - n1 wrapped around std::size_t.
+TEST(OnlineMerge, DpaRestoreRejectsClassCountsNotSummingToTraceCount) {
+  // A well-framed 4-trace snapshot whose first class count is patched:
+  // set sizes derived from the counts would no longer add up to n (and
+  // bias() would report n0 = n - n1 wrapped around).
   // Layout: magic, guesses, bits, m, n (u64 each), sum_s (u64 length +
-  // m doubles), then n1 (u64 length + one u32 per bit x guess).
+  // m doubles), then the class table: counts (u64 length + one u64 per
+  // class) and sums.
   qu::Rng rng(0x59);
   const std::size_t m = 5;
   const qd::TraceSet ts = random_traces(4, m, rng);
   const std::vector<qd::SelectionFn> bits = {qd::aes_sbox_selection(0, 0)};
   qd::OnlineDpa acc(bits, 4);
   acc.add_prefix(ts, 0, 4);
-  std::vector<std::uint8_t> snap = acc.serialize_state();
-  const std::size_t n1_at = 5 * 8 + 8 + m * sizeof(double) + 8;
-  ASSERT_LT(n1_at + 4, snap.size());
-  ASSERT_LE(snap[n1_at], 4u);
-  snap[n1_at] = 9;
+  const std::vector<std::uint8_t> snap = acc.serialize_state();
+  const std::size_t counts_at = 5 * 8 + 8 + m * sizeof(double) + 8;
+  ASSERT_LT(counts_at + 16, snap.size());
+  ASSERT_LE(snap[counts_at], 4u);
 
   qd::OnlineDpa victim(bits, 4);
   victim.add_prefix(ts, 0, 2);
   const std::vector<std::uint8_t> before = victim.serialize_state();
-  EXPECT_EQ(restore_kind(victim, snap), qd::StateError::Kind::Geometry);
-  EXPECT_EQ(victim.serialize_state(), before);
+  for (const int delta : {+1, +9, -1}) {
+    std::vector<std::uint8_t> bad = snap;
+    if (delta < 0 && bad[counts_at] == 0) bad[counts_at + 8] -= 1;  // class 1
+    else bad[counts_at] = static_cast<std::uint8_t>(bad[counts_at] + delta);
+    EXPECT_EQ(restore_kind(victim, bad), qd::StateError::Kind::Geometry)
+        << "count delta " << delta;
+    EXPECT_EQ(victim.serialize_state(), before);
+  }
 
-  // n1 == n is a legal (one-sided) partition and still restores.
-  snap[n1_at] = 4;
-  victim.restore_state(snap);
+  // Counts moved between classes still sum to n: a legal snapshot.
+  std::vector<std::uint8_t> moved = snap;
+  if (moved[counts_at] > 0) {
+    moved[counts_at] -= 1;
+    moved[counts_at + 8] += 1;
+  }
+  victim.restore_state(moved);
   EXPECT_EQ(victim.count(), 4u);
-  EXPECT_EQ(victim.bias(0).n0, 0u);
+}
+
+TEST(OnlineMerge, ParentFormatSnapshotsThrowBadMagic) {
+  // Snapshots of the all-guess-sums format carried the magics "qdpC" /
+  // "qdpD"; the class-table format must reject them by name rather than
+  // misread their fields.
+  qu::Rng rng(0x5a);
+  const qd::TraceSet ts = random_traces(6, 4, rng);
+  const qd::LeakageModel model = qd::aes_xor_hw_model(0);
+  const auto with_magic = [](std::vector<std::uint8_t> snap,
+                             std::uint64_t magic) {
+    for (int i = 0; i < 8; ++i)
+      snap[static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(magic >> (8 * i));
+    return snap;
+  };
+  qd::OnlineCpa cpa(model, 4);
+  cpa.add_prefix(ts, 0, 6);
+  qd::OnlineCpa cpa_victim(model, 4);
+  EXPECT_EQ(restore_kind(cpa_victim, with_magic(cpa.serialize_state(),
+                                                0x71647043)),  // "qdpC"
+            qd::StateError::Kind::BadMagic);
+  const std::vector<qd::SelectionFn> bits = {qd::aes_sbox_selection(0, 0)};
+  qd::OnlineDpa dpa(bits, 4);
+  dpa.add_prefix(ts, 0, 6);
+  qd::OnlineDpa dpa_victim(bits, 4);
+  EXPECT_EQ(restore_kind(dpa_victim, with_magic(dpa.serialize_state(),
+                                                0x71647044)),  // "qdpD"
+            qd::StateError::Kind::BadMagic);
+  EXPECT_EQ(cpa_victim.count(), 0u);
+  EXPECT_EQ(dpa_victim.count(), 0u);
 }
 
 TEST(OnlineMerge, EveryTruncationLengthIsRejectedAndLeavesStateUntouched) {
@@ -340,5 +387,53 @@ TEST(OnlineMerge, EveryTruncationLengthIsRejectedAndLeavesStateUntouched) {
     }
     victim.restore_state(snap);
     EXPECT_EQ(victim.count(), acc.count());
+  }
+}
+
+TEST(OnlineMerge, ShardStateBitIdenticalAcrossThreadCounts) {
+  // Each shard runner ingests on its own thread while workers acquire;
+  // the class tables it commits are a function of its trace stream
+  // alone, so 1, 2 and 4 threads (shards in flight and acquisition
+  // workers alike) must seal byte-identical accumulator snapshots.
+  for (const bool dpa : {true, false}) {
+    std::vector<std::vector<std::uint8_t>> first;
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      const std::filesystem::path dir =
+          std::filesystem::temp_directory_path() /
+          ("qdi_online_merge_threads_" + std::to_string(threads));
+      std::filesystem::remove_all(dir);
+      qc::ShardedOptions opt;
+      opt.shards = 3;
+      opt.checkpoint_interval = 24;
+      opt.chunk_traces = 8;
+      opt.concurrency = threads;
+      opt.backoff_ms = 0;
+      opt.checkpoint_dir = dir.string();
+      qc::Campaign campaign;
+      campaign.target(qc::des_sbox_slice()).key(0x15).seed(7).traces(90)
+          .threads(threads);
+      if (dpa)
+        campaign.attack(qc::Dpa{});
+      else
+        campaign.attack(qc::Cpa{});
+      const qc::ShardedResult res = campaign.sharded(opt);
+      ASSERT_TRUE(res.complete());
+      std::vector<std::vector<std::uint8_t>> states;
+      for (std::size_t s = 0; s < res.shards.size(); ++s) {
+        std::ifstream in(qc::checkpoint_path(opt.checkpoint_dir, s),
+                         std::ios::binary);
+        const std::vector<std::uint8_t> record(
+            (std::istreambuf_iterator<char>(in)),
+            std::istreambuf_iterator<char>());
+        const qc::ShardCheckpoint c = qc::decode_checkpoint(record);
+        EXPECT_EQ(c.next, c.hi) << "shard " << s;
+        states.push_back(c.acc_state);
+      }
+      std::filesystem::remove_all(dir);
+      if (first.empty())
+        first = std::move(states);
+      else
+        EXPECT_EQ(states, first) << threads << " threads";
+    }
   }
 }

@@ -229,6 +229,13 @@ TEST(CheckpointCodec, CorruptionVersionAndGeometryAreNamed) {
     bad[4] = static_cast<std::uint8_t>(qc::kCheckpointVersion + 1);
     EXPECT_EQ(decode_kind(bad), qc::CheckpointError::Kind::VersionMismatch);
   }
+  // A version-1 record (all-guess accumulator sums, before the class
+  // tables) is rejected by name, not decoded into a foreign snapshot.
+  {
+    std::vector<std::uint8_t> old = bytes;
+    old[4] = 1;
+    EXPECT_EQ(decode_kind(old), qc::CheckpointError::Kind::VersionMismatch);
+  }
   // Identity mismatches are geometry errors.
   const auto geometry_kind = [&](std::uint64_t fp, std::uint64_t shard,
                                  std::uint64_t lo, std::uint64_t hi) {
