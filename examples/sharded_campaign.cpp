@@ -4,19 +4,18 @@
 // instead of re-acquiring everything.
 //
 // The demo stages a crash on purpose: run 1 "dies" partway through
-// (a fault hook aborts every shard after a few chunks, with retries
-// disabled — the moral equivalent of SIGKILL), leaving a directory of
-// checkpoints and an honest partial result. Run 2 is the SAME campaign
+// (a fault hook aborts every shard once it is past 64 traces, with
+// retries disabled — the moral equivalent of SIGKILL), leaving a
+// directory of checkpoints and an honest partial result. Run 2 is the SAME campaign
 // pointed at the same directory: it adopts the checkpoints, finishes
 // the remaining windows, and lands on results bit-identical to an
 // uninterrupted run — which run 3 verifies from a fresh directory.
 //
 // Usage: sharded_campaign [key6_hex] [num_traces]
-#include <array>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
+#include <vector>
 
 #include "qdi/qdi.hpp"
 
@@ -63,9 +62,14 @@ int main(int argc, char** argv) {
               num_traces, opt.shards);
   campaign::ShardedOptions crash = opt;
   crash.max_attempts = 1;  // a real kill gets no in-process retry
-  std::array<std::atomic<int>, 16> chunks{};
-  crash.on_progress = [&](std::size_t shard, std::uint64_t) {
-    if (++chunks[shard] == 5) throw std::runtime_error("simulated power loss");
+  // Keyed on the trace index, not on the number of progress calls: the
+  // pool delivers one source block per call, so the call count depends
+  // on the engine's batch width.
+  const std::vector<campaign::ShardSpec> plan =
+      campaign::plan_shards(num_traces, opt.shards);
+  crash.on_progress = [&](std::size_t shard, std::uint64_t next) {
+    if (next - plan[shard].lo > 64)
+      throw std::runtime_error("simulated power loss");
   };
   const campaign::ShardedResult dead = campaign().sharded(crash);
   std::printf("%s\n", dead.table().to_string().c_str());

@@ -249,14 +249,11 @@ CampaignResult Campaign::run_stages(
     if (fused_chunk > 0) {
       // Fused mode: each acquired segment streams into the attack
       // accumulators and is discarded — O(chunk + guesses·samples)
-      // memory for any trace budget. Analysis time is measured around
-      // the feed/finish calls and subtracted from the stage total, so
-      // acquisition.wall_ms and attack->wall_ms partition the fused
-      // stage instead of double-counting it.
+      // memory for any trace budget. The pool keeps acquiring later
+      // segments while feed() runs, so acquisition.wall_ms is the wall
+      // time of the whole overlapped stage and attack->wall_ms the
+      // consumer's busy time plus finish(): the two overlap.
       StreamingAnalysis analysis(attack_, inst, rank_step_, num_traces_);
-      // acquire_chunked's wall clock covers acquisition + feeds; only
-      // the feed share is subtracted back out. finish() runs after the
-      // stage clock stops and is attributed to the attack alone.
       double feed_ms = 0.0;
       pool.acquire_chunked(
           num_traces_, seed_, fused_chunk,
@@ -269,11 +266,6 @@ CampaignResult Campaign::run_stages(
       const auto t_finish = std::chrono::steady_clock::now();
       AttackOutcome out = analysis.finish(rank_step_, res.rank_trajectory);
       out.wall_ms = feed_ms + ms_since(t_finish);
-      res.acquisition.wall_ms = std::max(0.0, res.acquisition.wall_ms - feed_ms);
-      res.acquisition.traces_per_s =
-          res.acquisition.wall_ms > 0.0
-              ? 1e3 * static_cast<double>(num_traces_) / res.acquisition.wall_ms
-              : 0.0;
       res.attack = std::move(out);
     } else {
       res.traces = pool.acquire(num_traces_, seed_, &res.acquisition);

@@ -63,8 +63,15 @@ struct CampaignResult {
   double mean_da = 0.0;
 
   /// The materialized trace set. Empty in fused mode — samples are
-  /// folded into the attack accumulators chunk by chunk and discarded.
+  /// folded into the attack accumulators segment by segment and
+  /// discarded.
   dpa::TraceSet traces;
+  /// Materialized mode: acquisition alone, and attack->wall_ms the
+  /// analysis that follows it. Fused mode: the wall time of the whole
+  /// acquire-and-ingest stage (traces_per_s = 1e3 · n / wall_ms), while
+  /// attack->wall_ms is the calling thread's busy time in the ingest
+  /// plus the final read. The pool acquires while the caller ingests,
+  /// so in fused mode the two overlap and need not sum to the stage.
   AcquisitionStats acquisition;
 
   std::optional<AttackOutcome> attack;
@@ -181,12 +188,13 @@ class Campaign {
   /// materializing a TraceSet. Attack results, MTD, and the rank
   /// trajectory are bit-identical to the materialized path (both run
   /// the same accumulators in the same order; asserted in
-  /// tests/test_online_analysis.cpp). Workers only acquire; the segments
-  /// are ingested in index order on the calling thread, so results are
-  /// also bit-identical for any thread count (FusedCampaign in
-  /// tests/test_dpa_kernels.cpp). Requires attack(); the result's
-  /// `traces` stays empty. A chunk of 0 is clamped to 1 — asking for
-  /// fused mode must never silently fall back to materializing.
+  /// tests/test_online_analysis.cpp). Workers only acquire, ahead of
+  /// the ingest; the segments are ingested in index order on the
+  /// calling thread, so results are also bit-identical for any thread
+  /// count (FusedCampaign in tests/test_dpa_kernels.cpp). Requires
+  /// attack(); the result's `traces` stays empty. A chunk of 0 is
+  /// clamped to 1 — asking for fused mode must never silently fall
+  /// back to materializing.
   Campaign& fused(std::size_t chunk_traces = 1024) {
     fused_chunk_ = chunk_traces == 0 ? 1 : chunk_traces;
     return *this;

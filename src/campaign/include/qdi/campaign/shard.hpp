@@ -3,7 +3,7 @@
 // A sharded campaign partitions the trace budget [0, N) into contiguous
 // per-shard index ranges and runs the fused acquire-and-attack loop of
 // each shard independently: a WorkerPool acquires each window's traces
-// chunk by chunk, and the shard feeds them into its accumulator and
+// segment by segment, and the shard feeds them into its accumulator and
 // stream digest in index order. Because every trace's randomness is
 // keyed by (seed, trace index) — the determinism contract of
 // trace_source.hpp — neither the partition nor the thread count is
@@ -81,8 +81,9 @@ struct ShardedOptions {
   /// Required: a sharded campaign without durable state is just a
   /// slower fused() run.
   std::string checkpoint_dir;
-  /// Acquisition chunk within a window (cancel/progress granularity;
-  /// never observable in results).
+  /// Acquisition ring within a window: how many traces the workers may
+  /// acquire ahead of the ingest (never observable in results). Cancel
+  /// and progress act per segment, i.e. per source block.
   std::size_t chunk_traces = 256;
   /// Shards in flight at once. Each running shard drives its own
   /// WorkerPool of `threads` workers.
@@ -95,7 +96,7 @@ struct ShardedOptions {
   unsigned backoff_ms = 10;
   /// Stall watchdog: a running shard whose progress counter does not
   /// advance for this long is cancelled (it aborts with ShardStall at
-  /// the next chunk boundary) and re-dispatched. 0 = watchdog off. The
+  /// the next segment boundary) and re-dispatched. 0 = watchdog off. The
   /// watchdog polls every max(1, stall_timeout_ms / 8) ms, so a stall is
   /// caught within an eighth of the timeout past it.
   unsigned stall_timeout_ms = 0;
@@ -109,7 +110,7 @@ struct ShardedOptions {
   /// checkpoint_interval.
   bool fsync_commits = false;
   /// Fault-injection hooks (crash/stall test harness; both optional).
-  /// on_progress fires after every consumed chunk, on_commit after
+  /// on_progress fires after every consumed segment, on_commit after
   /// every durable checkpoint. Either may throw to simulate a crash at
   /// exactly that point; the exception aborts the attempt, not the run.
   std::function<void(std::size_t shard, std::uint64_t next)> on_progress;
@@ -209,8 +210,8 @@ class ShardRunner {
               ShardSpec spec);
 
   /// Run to completion (or throw). `progress` is advanced by every
-  /// consumed chunk (the watchdog's observable); `cancel`, when set,
-  /// aborts the attempt with ShardStall at the next chunk boundary.
+  /// consumed segment (the watchdog's observable); `cancel`, when set,
+  /// aborts the attempt with ShardStall at the next segment boundary.
   /// Both may be null.
   Outcome run(std::atomic<std::uint64_t>* progress,
               const std::atomic<bool>* cancel);

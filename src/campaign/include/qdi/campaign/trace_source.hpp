@@ -120,19 +120,25 @@ struct AcquisitionStats {
   /// leave it empty (a per-trace vector would grow with the trace
   /// budget and break the fused campaign's bounded-memory contract).
   std::vector<std::size_t> per_trace_transitions;
+  /// Threads that acquired: the caller plus the workers started, at
+  /// most one per block of the call.
   unsigned threads_used = 1;
 };
 
 /// Persistent acquisition worker set: `threads - 1` clones of a primary
-/// source plus the per-segment scratch slots, created once and reused
-/// across any number of acquire calls. This is what keeps per-thread
-/// simulators (with their compiled netlist, epoch snapshot, and scratch
-/// buffers) warm across batches instead of re-cloning per call — the
-/// campaign layer owns one pool per run, benches own one per timing
-/// loop. Worker threads are still (re)spawned per segment: per-trace
-/// simulation dwarfs thread start-up at campaign batch sizes, and the
-/// in-order barrier between segments is what makes the feed order (and
-/// hence all accumulator results) independent of the thread count.
+/// source plus the scratch ring of result slots, created once and
+/// reused across any number of acquire calls. This is what keeps
+/// per-thread simulators (with their compiled netlist, epoch snapshot,
+/// and scratch buffers) warm across batches instead of re-cloning per
+/// call — the campaign layer owns one pool per run, benches own one per
+/// timing loop. Each call starts its worker threads once and runs an
+/// ordered pipeline: the workers acquire blocks of traces in index
+/// order into the ring while the calling thread hands finished blocks
+/// to the consumer in index order, and acquires blocks itself when none
+/// is ready. A ring position is refilled only after the consumer has
+/// released it, so acquisition overlaps analysis, at most `threads`
+/// threads are runnable, and the feed order (hence every accumulator
+/// result) is independent of the thread count.
 ///
 /// Every entry point runs through acquire_segments — the one loop that
 /// fans out, times, and counts; the others only assemble its records
@@ -141,7 +147,9 @@ class WorkerPool {
  public:
   /// Consumer of one acquired segment: `records[k]` is trace
   /// `first + k`, in index order. The records are the pool's reused
-  /// scratch slots, valid only for the duration of the call.
+  /// ring slots, valid only for the duration of the call (the workers
+  /// keep filling other slots meanwhile; these stay untouched until it
+  /// returns).
   using SegmentFn = std::function<void(std::span<const AcquiredTrace> records,
                                        std::size_t first)>;
   using TraceSetFn =
@@ -171,12 +179,18 @@ class WorkerPool {
   void unbind() noexcept;
 
   /// The acquisition loop: traces [first_index, first_index + count) of
-  /// campaign `seed`, acquired `chunk` at a time (fanned out over the
-  /// workers in blocks of the source's batch_width) and handed to
-  /// `consume` one segment at a time, in ascending index order. Record
-  /// values are bit-identical for any thread count, chunk size, or range
-  /// partition (the determinism contract above). `stats` counts every
-  /// trace and times the whole call, consume() included.
+  /// campaign `seed`, acquired over the workers in blocks of the
+  /// source's batch_width into a ring of min(chunk, count) slots
+  /// (rounded up to whole blocks), and handed to `consume` one segment
+  /// at a time, in ascending, contiguous index order. A segment is at
+  /// most the ring size and may be shorter: it is whatever run of
+  /// in-order blocks is done when the consumer is free. Record values
+  /// are bit-identical for any thread count, chunk size, or range
+  /// partition (the determinism contract above). A throw from `consume`
+  /// or from a source is rethrown once every worker has joined. `stats`
+  /// counts every trace and times the whole call, consume() included;
+  /// `threads_used` counts the threads started (never more than there
+  /// are blocks).
   void acquire_segments(std::size_t first_index, std::size_t count,
                         std::uint64_t seed, std::size_t chunk,
                         const SegmentFn& consume,
@@ -190,8 +204,13 @@ class WorkerPool {
   /// Chunked streaming acquisition — the O(1)-memory feed of the fused
   /// campaign. Delivers traces [first, first + segment.size()) per
   /// consume() call from one reused segment buffer (cleared, capacity
-  /// kept); consumers must copy anything they keep. Trace values are
-  /// bit-identical to acquire() for any thread count and chunk size.
+  /// kept); consumers must copy anything they keep. Each segment is one
+  /// source block: batch_width() traces, fewer only for the last block
+  /// of the range, so the segment sizes (and the buffer's footprint)
+  /// do not depend on timing; `chunk` sets the ring, i.e. how far the
+  /// workers may acquire ahead of the consumer (see acquire_segments).
+  /// Trace values are bit-identical to acquire() for any thread count
+  /// and chunk size.
   void acquire_chunked(std::size_t num_traces, std::uint64_t seed,
                        std::size_t chunk, const TraceSetFn& consume,
                        AcquisitionStats* stats = nullptr);
@@ -209,13 +228,14 @@ class WorkerPool {
   TraceSource* src_;
   std::size_t worker_clones_ = 0;  ///< clone count restored by rebind()
   std::vector<std::unique_ptr<TraceSource>> clones_;
-  /// Reused result slots: slot buffers (samples, plaintext, ciphertext)
-  /// retain capacity across segments and across acquire calls.
+  /// The ring of reused result slots: slot buffers (samples, plaintext,
+  /// ciphertext) retain capacity across segments and across acquire
+  /// calls.
   std::vector<AcquiredTrace> scratch_;
-  /// Reused chunk segment of acquire_chunked: clear() keeps the matrix
-  /// and arena capacity, so repeated chunked acquisitions (the fused
-  /// campaign's steady state, and every sweep step after the first) run
-  /// without reallocating the segment.
+  /// Reused segment of acquire_chunked, one source block long: clear()
+  /// keeps the matrix and arena capacity, so repeated chunked
+  /// acquisitions (the fused campaign's steady state, and every sweep
+  /// step after the first) run without reallocating the segment.
   dpa::TraceSet chunk_buf_;
 };
 

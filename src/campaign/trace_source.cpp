@@ -1,8 +1,9 @@
 #include "qdi/campaign/trace_source.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstddef>
 #include <exception>
 #include <mutex>
 #include <stdexcept>
@@ -149,17 +150,6 @@ void SimTraceSource::acquire_into(const TraceRequest& req, AcquiredTrace& out) {
 
 // ---- WorkerPool -------------------------------------------------------------
 
-namespace {
-
-unsigned clamp_threads(unsigned threads, std::size_t num_traces) {
-  if (threads == 0) threads = 1;
-  if (threads > num_traces)
-    threads = static_cast<unsigned>(num_traces == 0 ? 1 : num_traces);
-  return threads;
-}
-
-}  // namespace
-
 WorkerPool::WorkerPool(TraceSource& src, unsigned threads) : src_(&src) {
   if (threads == 0) threads = 1;
   worker_clones_ = threads - 1;
@@ -179,63 +169,132 @@ void WorkerPool::unbind() noexcept {
   src_ = nullptr;
 }
 
-/// Traces are acquired into scratch_ `chunk` at a time, fanned out over
-/// the primary source plus the clones in blocks of the source's
-/// batch_width (1 for scalar sources, 64 for the batch engine; the last
-/// block of a segment may be partial). Deterministic in (seed, index)
-/// per the TraceSource contract, whatever the thread count or the block
-/// partition; the join before consume() is the in-order barrier.
+/// The ordered pipeline behind every entry point. Trace indices are cut
+/// into blocks of the source's batch_width (1 for scalar sources, 64
+/// for the batch engine; the last block may be partial), and block k
+/// lands in ring position k mod R of scratch_, where R whole blocks
+/// cover min(chunk, count) traces. The `threads - 1` clone threads are
+/// started once per call and claim blocks in index order; block k is
+/// claimable only once the consumer has released block k - R, so no
+/// slot is rewritten while consume() reads it. The calling thread loops
+/// over: hand the longest run of finished in-order blocks (cut at the
+/// ring's end, so the span is contiguous) to consume(); else acquire
+/// the next claimable block itself; else wait. Acquisition of later
+/// blocks therefore overlaps consume() of earlier ones, while consumers
+/// still see every index once, in ascending order.
 void WorkerPool::acquire_segments(std::size_t first_index, std::size_t count,
                                   std::uint64_t seed, std::size_t chunk,
                                   const SegmentFn& consume,
                                   AcquisitionStats* stats) {
   const auto t0 = std::chrono::steady_clock::now();
   if (chunk == 0) chunk = 1;
-  const std::size_t end = first_index + count;
   const std::size_t width = std::max<std::size_t>(src_->batch_width(), 1);
+  const std::size_t num_blocks = (count + width - 1) / width;
+  const std::size_t ring = (std::min(chunk, count) + width - 1) / width;
+  if (scratch_.size() < ring * width) scratch_.resize(ring * width);
 
-  AcquisitionStats st;
-  st.threads_used = clamp_threads(threads(), count);
-  if (scratch_.size() < std::min(chunk, count))
-    scratch_.resize(std::min(chunk, count));
+  // Ring state, all guarded by `mu`. done[p] marks ring position p as
+  // holding an acquired, not yet consumed block.
+  std::mutex mu;
+  std::condition_variable released;  // workers: a ring position freed up
+  std::condition_variable filled;    // caller: the head block is done
+  std::vector<char> done(ring, 0);
+  std::size_t head = 0;        // first block not yet consumed
+  std::size_t next_claim = 0;  // next block to hand out
+  bool stop = false;
+  std::exception_ptr worker_error;
 
-  for (std::size_t lo = first_index; lo < end; lo += chunk) {
-    const std::size_t n = std::min(chunk, end - lo);
-    const std::size_t num_blocks = (n + width - 1) / width;
-    std::atomic<std::size_t> next{0};
-    std::mutex err_mu;
-    std::exception_ptr first_error;
-    auto worker = [&](TraceSource& s) {
-      for (;;) {
-        const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
-        if (k >= num_blocks) return;
-        const std::size_t b = k * width;
-        try {
-          s.acquire_block(seed, lo + b, std::min(width, n - b),
-                          scratch_.data() + b);
-        } catch (...) {
-          const std::lock_guard<std::mutex> lock(err_mu);
-          if (!first_error) first_error = std::current_exception();
-          next.store(num_blocks, std::memory_order_relaxed);  // drain
-          return;
-        }
+  const auto fill_block = [&](TraceSource& s, std::size_t k) {
+    const std::size_t b = k * width;
+    s.acquire_block(seed, first_index + b, std::min(width, count - b),
+                    scratch_.data() + (k % ring) * width);
+  };
+  const auto claimable = [&] {
+    return next_claim < num_blocks && next_claim < head + ring;
+  };
+  const auto worker = [&](TraceSource& s) {
+    std::unique_lock<std::mutex> lock(mu);
+    for (;;) {
+      released.wait(lock, [&] {
+        return stop || next_claim >= num_blocks || claimable();
+      });
+      if (stop || next_claim >= num_blocks) return;
+      const std::size_t k = next_claim++;
+      lock.unlock();
+      try {
+        fill_block(s, k);
+      } catch (...) {
+        lock.lock();
+        if (!worker_error) worker_error = std::current_exception();
+        stop = true;
+        filled.notify_one();
+        released.notify_all();
+        return;
       }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(clones_.size());
-    for (std::unique_ptr<TraceSource>& c : clones_)
-      pool.emplace_back([&worker, &c] { worker(*c); });
-    worker(*src_);
-    for (std::thread& t : pool) t.join();
-    if (first_error) std::rethrow_exception(first_error);
-
-    const std::span<const AcquiredTrace> records(scratch_.data(), n);
-    for (const AcquiredTrace& a : records) {
-      st.transitions += a.transitions;
-      st.glitches += a.glitches;
+      lock.lock();
+      done[k % ring] = 1;
+      if (k == head) filled.notify_one();
     }
-    consume(records, lo);
+  };
+
+  // Only threads that can get a block are started; the caller is one.
+  const std::size_t spawned =
+      std::min(clones_.size(), num_blocks > 0 ? num_blocks - 1 : 0);
+  AcquisitionStats st;
+  st.threads_used = static_cast<unsigned>(spawned) + 1;
+  std::vector<std::thread> pool;
+  // Runs on every exit, a throw from consume() or from the caller's own
+  // acquire_block() included: the workers stop at their next claim.
+  const auto stop_and_join = [&] {
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      stop = true;
+    }
+    released.notify_all();
+    for (std::thread& t : pool) t.join();
+  };
+  try {
+    pool.reserve(spawned);
+    for (std::size_t w = 0; w < spawned; ++w)
+      pool.emplace_back([&worker, &s = *clones_[w]] { worker(s); });
+
+    std::unique_lock<std::mutex> lock(mu);
+    while (head < num_blocks && !worker_error) {
+      const std::size_t pos = head % ring;
+      std::size_t run = 0;
+      while (head + run < num_blocks && pos + run < ring && done[pos + run])
+        ++run;
+      if (run > 0) {
+        lock.unlock();
+        const std::size_t lo = head * width;
+        const std::size_t n = std::min((head + run) * width, count) - lo;
+        const std::span<const AcquiredTrace> records(
+            scratch_.data() + pos * width, n);
+        for (const AcquiredTrace& a : records) {
+          st.transitions += a.transitions;
+          st.glitches += a.glitches;
+        }
+        consume(records, first_index + lo);
+        lock.lock();
+        std::fill_n(done.begin() + static_cast<std::ptrdiff_t>(pos), run, 0);
+        head += run;
+        released.notify_all();
+      } else if (claimable()) {
+        const std::size_t k = next_claim++;
+        lock.unlock();
+        fill_block(*src_, k);
+        lock.lock();
+        done[k % ring] = 1;
+      } else {
+        filled.wait(lock, [&] { return worker_error || done[pos]; });
+      }
+    }
+  } catch (...) {
+    stop_and_join();
+    throw;
   }
+  stop_and_join();
+  if (worker_error) std::rethrow_exception(worker_error);
 
   st.wall_ms = std::chrono::duration<double, std::milli>(
                    std::chrono::steady_clock::now() - t0)
@@ -280,13 +339,22 @@ void WorkerPool::acquire_chunked_range(std::size_t first_index,
                                        std::size_t chunk,
                                        const TraceSetFn& consume,
                                        AcquisitionStats* stats) {
+  // Runs start on block boundaries; each is copied out one source block
+  // at a time, so chunk_buf_ never holds more than batch_width() rows.
+  // Its footprint is then fixed by the source, not by how long a run
+  // the workers happened to finish ahead of the consumer.
+  const std::size_t width = std::max<std::size_t>(src_->batch_width(), 1);
   acquire_segments(
       first_index, count, seed, chunk,
       [&](std::span<const AcquiredTrace> records, std::size_t first) {
-        chunk_buf_.clear();
-        for (const AcquiredTrace& a : records)
-          chunk_buf_.add(power::TraceView(a.trace), a.plaintext, a.ciphertext);
-        consume(chunk_buf_, first);
+        for (std::size_t lo = 0; lo < records.size(); lo += width) {
+          chunk_buf_.clear();
+          for (const AcquiredTrace& a :
+               records.subspan(lo, std::min(width, records.size() - lo)))
+            chunk_buf_.add(power::TraceView(a.trace), a.plaintext,
+                           a.ciphertext);
+          consume(chunk_buf_, first + lo);
+        }
       },
       stats);
 }

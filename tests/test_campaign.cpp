@@ -208,6 +208,44 @@ TEST(CampaignAcquisition, NoiseAndJitterStayDeterministicAcrossThreads) {
       ASSERT_EQ(a.traces.trace(i)[j], b.traces.trace(i)[j]);
 }
 
+TEST(CampaignAcquisition, FusedStageClocksCoverTheOverlappedStage) {
+  const std::size_t n = 96;
+  const qc::CampaignResult r = qc::Campaign()
+                                   .target(qc::des_sbox_slice())
+                                   .key(0x2b)
+                                   .seed(5)
+                                   .traces(n)
+                                   .threads(4)
+                                   .attack(qc::Cpa{})
+                                   .fused(16)
+                                   .run();
+  ASSERT_TRUE(r.attack.has_value());
+  // acquisition.wall_ms is the whole acquire-and-ingest stage, so the
+  // throughput is the plain budget over it; the attack's busy time
+  // overlaps it, and neither can exceed the campaign.
+  EXPECT_GT(r.acquisition.wall_ms, 0.0);
+  EXPECT_DOUBLE_EQ(r.acquisition.traces_per_s,
+                   1e3 * static_cast<double>(n) / r.acquisition.wall_ms);
+  EXPECT_LE(r.acquisition.wall_ms, r.total_wall_ms);
+  EXPECT_LE(r.attack->wall_ms, r.total_wall_ms);
+  EXPECT_EQ(r.acquisition.threads_used, 4u);
+}
+
+TEST(CampaignAcquisition, ThreadsUsedCountsOnlyThreadsThatGetABlock) {
+  // Four traces are one 64-lane block of the batch engine: the caller
+  // acquires it alone.
+  const qc::CampaignResult r = qc::Campaign()
+                                   .target(qc::des_sbox_slice())
+                                   .engine(qdi::sim::EngineKind::Batch)
+                                   .key(0x2b)
+                                   .seed(5)
+                                   .traces(4)
+                                   .threads(4)
+                                   .run();
+  EXPECT_EQ(r.traces.size(), 4u);
+  EXPECT_EQ(r.acquisition.threads_used, 1u);
+}
+
 TEST(CampaignAcquisition, SeedChangesPlaintextSequence) {
   const auto run = [](std::uint64_t seed) {
     return qc::Campaign()
