@@ -541,7 +541,8 @@ BENCHMARK(BM_FusedCampaign)->Unit(benchmark::kMillisecond);
 // sharded runtime committing at its DEFAULT checkpoint interval. The
 // delta is the per-trace cost of crash safety: the stream digest plus,
 // every interval, an accumulator snapshot sealed with SHA-256 and
-// published by atomic rename (~6 MB for a des_round DPA state). The CI
+// published by atomic rename (~25 KB for the stock des_round DPA
+// state, whose live-sample span is empty). The CI
 // bench job prints the fused/sharded ratio as an informational row —
 // at the default interval the tax should stay under ~5% per trace.
 // The trace count matters: it has to cover several default-interval

@@ -56,9 +56,11 @@ class CheckpointError : public std::runtime_error {
 };
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x4b534451u;  // "QDSK"
-/// Version 2: the accumulator payload holds plaintext-class tables
-/// (dpa/online.hpp); version-1 records carried all-guess sums.
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+/// Version 3: the accumulator payload holds reference-shifted class
+/// tables over the live-sample span (dpa/online.hpp); version-2
+/// records carried unshifted full-width class tables, version-1
+/// records all-guess sums.
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 /// The decoded checkpoint payload.
 struct ShardCheckpoint {

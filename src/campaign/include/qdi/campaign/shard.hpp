@@ -71,11 +71,12 @@ struct ShardedOptions {
   /// Traces between durable commits. Window boundaries sit at
   /// lo + k·interval — deterministic, so a resumed shard redoes exactly
   /// the open window. The default is sized so that sealing and
-  /// publishing a multi-megabyte accumulator snapshot (a des_round DPA
-  /// state is ~6 MB, ~20 ms to snapshot + seal + publish) stays a
-  /// couple percent of the acquisition work it protects; shrink it
-  /// only if losing more than a few seconds of re-acquisition on a
-  /// crash actually hurts.
+  /// publishing an accumulator snapshot (a des_round DPA state holds
+  /// its 64 class rows over the live-sample span only: ~25 KB when no
+  /// sample varies, up to ~1.6 MB when all 3000 do) stays a couple
+  /// percent of the acquisition work it protects; shrink it only if
+  /// losing more than a few seconds of re-acquisition on a crash
+  /// actually hurts.
   std::size_t checkpoint_interval = 8192;
   /// Directory for the per-shard checkpoint files (created if missing).
   /// Required: a sharded campaign without durable state is just a

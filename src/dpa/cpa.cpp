@@ -37,6 +37,9 @@ LeakageModel des_sbox_hw_model(int box) {
 std::size_t CpaResult::rank_of(unsigned key) const {
   assert(key < correlation.size());
   const double ref = correlation[key];
+  // An exactly-zero score carries no evidence (every sample of the
+  // traces was constant): it ranks below every other guess.
+  if (ref == 0.0) return correlation.size() - 1;
   std::size_t rank = 0;
   for (double r : correlation)
     if (r > ref) ++rank;  // strictly greater: ties rank below the reference

@@ -17,6 +17,9 @@ BiasResult dpa_bias(const TraceSet& ts, const SelectionFn& d, unsigned guess,
 std::size_t KeyRecoveryResult::rank_of(unsigned key) const {
   assert(key < guess_peak.size());
   const double ref = guess_peak[key];
+  // An exactly-zero score carries no evidence (every sample of the
+  // traces was constant): it ranks below every other guess.
+  if (ref == 0.0) return guess_peak.size() - 1;
   std::size_t rank = 0;
   for (double p : guess_peak)
     if (p > ref) ++rank;  // strictly greater: ties rank below the reference

@@ -54,7 +54,9 @@ struct CpaResult {
   /// greater correlation. Ties rank below the reference — guesses whose
   /// model columns are numerically identical (e.g. ghost keys of a
   /// degenerate model) never push the true key down, independent of
-  /// float comparison order.
+  /// float comparison order. A reference correlation of exactly 0.0
+  /// (no sample varied, or none correlated at all) is no evidence and
+  /// ranks last: G - 1.
   std::size_t rank_of(unsigned key) const;
 };
 

@@ -1,10 +1,14 @@
 // Runtime-dispatched SIMD kernels for the streaming analysis engine.
 //
-// dpa::OnlineCpa / dpa::OnlineDpa keep per-plaintext-class sums
+// dpa::OnlineCpa / dpa::OnlineDpa keep per-plaintext-class sums of
+// reference-shifted samples over a live-sample span
 // (qdi/dpa/online.hpp), so their loops split into two sides:
 //
-//   ingest, once per trace:  cpa_moments (CPA per-sample moments) and
-//                            row_add (DPA sum_s, the class-row add);
+//   ingest, once per trace:  shift_span (t - ref over all m samples,
+//                            widening the span), then, over the span
+//                            only, cpa_moments (CPA per-sample
+//                            moments) and row_add (DPA sum_s, the
+//                            class-row add);
 //   reads, once per folded class row:
 //                            cpa_rank_update (class rows x LUT rows
 //                            into the guesses x m CPA cache),
@@ -40,19 +44,29 @@ namespace qdi::dpa::kernels {
 struct KernelTable {
   const char* name;  ///< "portable" / "avx2"
 
+  /// Reference shift over the live span: [*lo, *hi) is widened to
+  /// cover every j < m with src[j] - ref[j] != 0.0 (NaN counts as
+  /// nonzero; an empty range, *lo == *hi, is replaced by the hull of
+  /// those samples and stays as it is when there are none), then
+  /// dst[j] = src[j] - ref[j] for every j in the widened range. Other
+  /// entries of dst are left as they were: outside the span every
+  /// difference is zero, and only compared, never stored.
+  void (*shift_span)(double* dst, const double* src, const double* ref,
+                     std::size_t m, std::size_t* lo, std::size_t* hi);
+
   /// CPA per-sample moments: for each trace c in order,
   /// sum_s[j] += s[j]; sum_s2[j] += s[j]*s[j].
   void (*cpa_moments)(double* sum_s, double* sum_s2,
                       const double* const* rows, std::size_t cnt,
                       std::size_t m);
 
-  /// CPA rank update: for each guess g, dst = sum_hs + g*m; for each
+  /// CPA rank update: for each guess g, dst = sum_hs + g*ld; for each
   /// row c in order (a class sum, hyp[c] its LUT row): h = hyp[c][g];
   /// if h == 0.0 the row is skipped (identical skip decision in every
-  /// arm); else dst[j] += h * s[j].
+  /// arm); else dst[j] += h * s[j] for j < m.
   void (*cpa_rank_update)(double* sum_hs, const double* const* rows,
                           const double* const* hyp, std::size_t cnt,
-                          unsigned guesses, std::size_t m);
+                          unsigned guesses, std::size_t m, std::size_t ld);
 
   /// dst[j] += src[j] (one trace row into a per-sample or class sum).
   void (*row_add)(double* dst, const double* src, std::size_t m);

@@ -10,16 +10,32 @@
 // byte values share a class when the predictor LUTs give them the same
 // value for every guess and every bit; the map is derived from the
 // predictors at construction (64 classes for the DES S-box predictors,
-// where v and v^0x40 coincide; 256 for the AES ones). The state is
+// where v and v^0x40 coincide; 256 for the AES ones).
 //
-//   per sample:                  n, sum_s[j]  (CPA also sum_s2[j])
-//   per predictor byte, class c: count[c] (u64), S[c][j] = sum of the
-//                                traces of class c
+// Shifted state. Both statistics are invariant under a per-sample
+// shift, so the sums are kept relative to a reference row: ref = the
+// first ingested trace, t'[j] = t[j] - ref[j]. The state is
 //
-// and ingest is one row_add into S[class(pt)] plus the per-sample
-// moments, always in trace order. The state is therefore a function of
-// the trace stream alone: blocking, interleaved reads, thread counts
-// and kernel arms never change a bit of serialize_state().
+//   per sample:                  n, ref[j], sum_s[j] = sum t'[j]
+//                                (CPA also sum_s2[j] = sum t'[j]^2)
+//   per predictor byte, class c: count[c] (u64),
+//                                S[c][j] = sum of t' over class c
+//
+// Live span. [lo, hi) is the hull of the samples where some ingested
+// trace had t' != 0.0. Outside it every shifted sum is exactly +0.0,
+// so all per-sample work is restricted to it and skipping the rest is
+// bit-exact with respect to a dense shifted update. A sample where
+// every trace equals the first — on a balanced QDI netlist in this
+// noiseless model, every sample — has exactly zero variance and zero
+// class-sum differences, so it reads exactly 0.0 (correlation and
+// bias), never raw-moment cancellation residue.
+//
+// Ingest, per trace: one shift_span pass over all m samples (t - ref,
+// widening the span), then, over [lo, hi) only, one row_add into
+// S[class(pt)] plus the per-sample moments, always in trace order.
+// The state is therefore a function of the trace stream alone:
+// blocking, interleaved reads, thread counts and kernel arms never
+// change a bit of serialize_state().
 //
 // Reads (finalize, correlation_trace, bias, recover, recover_single)
 // go through a combined cache, allocated on the first read:
@@ -31,10 +47,12 @@
 // reset() builds the cache from every non-empty class, in class order.
 // While a cache exists, ingest also adds each trace into a pending row
 // of its class, and a later read folds only the classes touched since
-// the previous read. A read therefore costs at most min(Δn, V)·G·m
-// multiply-adds (V classes, G guesses, m samples; DPA times the bit
-// count) — never more than a per-trace all-guess update of the same Δn
-// traces — and a read with nothing pending is free.
+// the previous read. Folds, the variance cache and the correlation and
+// bias scans cover the span (intersected with the read's window) only,
+// so a read costs at most min(Δn, V)·G·(hi - lo) multiply-adds (V
+// classes, G guesses; DPA times the bit count) — never more than a
+// per-trace all-guess update of the same Δn traces — and a read with
+// nothing pending is free.
 //
 // Determinism contract: the state is schedule-free (above). Read
 // results are a function of the trace stream AND the read schedule,
@@ -115,7 +133,8 @@ namespace detail {
 
 /// Per-class running sums of one plaintext byte (see the file comment).
 /// Shared by OnlineCpa (one table) and OnlineDpa (one per distinct
-/// byte its selection bits read).
+/// byte its selection bits read). Rows are m samples wide; the owner
+/// passes its live span [lo, hi), and every row is +0.0 outside it.
 class ClassTable {
  public:
   /// The class key of byte value v is the `width` LUT entries at
@@ -137,28 +156,42 @@ class ClassTable {
     return sum_[c].empty() ? nullptr : sum_[c].data();
   }
 
-  /// Add one trace row of plaintext byte value v. With `pending`, the
-  /// row is also added to its class's pending row for the next fold.
-  void add(const double* row, std::uint8_t v, std::size_t m,
-           const kernels::KernelTable& k, bool pending);
-  /// The rows a read folds, in class order, with their classes'
-  /// representatives: every non-empty class's total (`full`), or the
-  /// pending rows of the classes touched since the last read. Pending
-  /// rows stay valid until clear_pending().
-  void fold_rows(bool full, std::size_t m, std::vector<const double*>& rows,
+  /// Add samples [lo, hi) of one shifted trace row of plaintext byte
+  /// value v. With `pending`, they are also added to its class's
+  /// pending row for the next fold.
+  void add(const double* row, std::uint8_t v, std::size_t m, std::size_t lo,
+           std::size_t hi, const kernels::KernelTable& k, bool pending);
+  /// The rows a read folds, in class order, each offset to sample `lo`,
+  /// with their classes' representatives: every non-empty class's
+  /// total (`full`), or the pending rows of the classes touched since
+  /// the last read. Pending rows stay valid until clear_pending().
+  void fold_rows(bool full, std::size_t m, std::size_t lo,
+                 std::vector<const double*>& rows,
                  std::vector<std::uint8_t>& reps) const;
-  void clear_pending() const;
+  /// Drop the pending rows, zeroing their samples [lo, hi) (a span
+  /// covering every span they were added under) so the next touch
+  /// starts from +0.0.
+  void clear_pending(std::size_t m, std::size_t lo, std::size_t hi) const;
 
-  /// counts += o.counts, sums += o.sums (the same class map).
-  void merge(const ClassTable& o, std::size_t m);
-  /// Replace counts and sums with a snapshot's (classes × m flat sums;
-  /// sizes already checked). Rows of empty classes are not kept.
+  /// counts += o.counts; over [lo, hi), sums += o.sums + o.count·delta,
+  /// i.e. o's rows rebased from o's reference row onto this one's
+  /// (delta = o.ref - ref; the same class map).
+  void merge(const ClassTable& o, std::size_t m, std::size_t lo,
+             std::size_t hi, const double* delta);
+  /// Replace counts and sums with a snapshot's (classes × (hi - lo)
+  /// flat sums over the span; sizes already checked). Rows of empty
+  /// classes are not kept.
   void assign(std::vector<std::uint64_t> counts,
-              const std::vector<double>& sums, std::size_t m);
+              const std::vector<double>& sums, std::size_t m, std::size_t lo,
+              std::size_t hi);
   /// Zero counts and sums and drop pending rows; keeps capacity.
   void reset() noexcept;
 
  private:
+  /// Zero every pending row whole and drop them (reset/restore, where
+  /// the span they were added under is gone).
+  void drop_pending() noexcept;
+
   int byte_;
   std::uint8_t cls_[256];
   std::vector<std::uint8_t> rep_;
@@ -166,6 +199,7 @@ class ClassTable {
   std::vector<std::vector<double>> sum_;  ///< per class: m samples or empty
   // Pending rows of the classes touched since the last read: slot_[c]
   // indexes pending_ (-1 = untouched); sized by touch, not by classes.
+  // Every sample of pending_ outside the live rows' spans is +0.0.
   mutable std::vector<std::int32_t> slot_;
   mutable std::vector<double> pending_;
   mutable std::size_t used_ = 0;
@@ -190,6 +224,11 @@ class OnlineCpa {
   /// Plaintext classes of the model (byte values it cannot tell apart
   /// under any guess share one).
   std::size_t num_classes() const noexcept { return table_.num_classes(); }
+  /// The live span [span_lo, span_hi): the hull of the samples where
+  /// some ingested trace differed from the reference row (empty while
+  /// none did). Samples outside it read exactly 0.0.
+  std::size_t span_lo() const noexcept { return lo_; }
+  std::size_t span_hi() const noexcept { return hi_; }
 
   /// Emit the CPA result for the traces fed so far (optionally windowed
   /// to samples [window_lo, window_hi)). Non-destructive: keep adding
@@ -200,20 +239,26 @@ class OnlineCpa {
   /// Full correlation trace rho[j] of one guess at the current prefix.
   std::vector<double> correlation_trace(unsigned guess) const;
 
-  /// Fold another accumulator's traces into this one: class sums and
-  /// moments are added, so merging N disjoint partial passes is
-  /// equivalent to one pass over the union — up to floating-point
-  /// re-association (sums are added blockwise instead of trace by
-  /// trace), which perturbs results at the 1e-12 level, not the
-  /// attack-outcome level (tests/test_online_merge.cpp). Both sides must
+  /// Fold another accumulator's traces into this one: `other`'s sums
+  /// are rebased onto this side's reference row (delta = other.ref -
+  /// ref: S += count·delta, sum_s += n·delta, sum_s2 += 2·delta·sum_s +
+  /// n·delta², a no-op where delta == 0) and added, and the span
+  /// becomes the hull of both spans and of {delta != 0}. An empty side
+  /// adopts the other side's reference. Merging N disjoint partial
+  /// passes is therefore equivalent to one pass over the union — up to
+  /// floating-point re-association (sums are added blockwise instead of
+  /// trace by trace, and rebased), which perturbs results at the 1e-12
+  /// level, not the attack-outcome level (tests/test_online_merge.cpp).
+  /// Both sides must
   /// share num_guesses, class map and sample geometry (an empty side
   /// merges trivially); `other` must have been built over the same
   /// leakage model for the result to mean anything — that cannot be
   /// checked here. Throws std::invalid_argument on mismatched geometry.
   void merge(const OnlineCpa& other);
 
-  /// Compact byte snapshot of the accumulator state (counts, moments and
-  /// class sums; the model is NOT serialized — it is code, not data).
+  /// Compact byte snapshot of the accumulator state: the reference row,
+  /// the span, counts, and moments and class sums over the span only
+  /// (the model is NOT serialized — it is code, not data).
   /// restore_state() requires an accumulator constructed with the same
   /// model and num_guesses, and replaces its state wholesale. Round-trip
   /// is exact: serialize/restore reproduces bit-identical results. A
@@ -221,7 +266,8 @@ class OnlineCpa {
   /// counts that do not sum to the trace count included) throws
   /// StateError with the matching kind and leaves this accumulator
   /// untouched (tests/test_online_merge.cpp fuzzes every truncation
-  /// length).
+  /// length). A span outside [0, m], or a reference row that does not
+  /// match the sample and trace counts, is a Geometry error.
   std::vector<std::uint8_t> serialize_state() const;
   void restore_state(std::span<const std::uint8_t> bytes);
 
@@ -250,9 +296,12 @@ class OnlineCpa {
   const kernels::KernelTable* kernels_ = &kernels::active();
   std::size_t m_ = 0;
   std::size_t n_ = 0;
+  std::size_t lo_ = 0, hi_ = 0;   ///< live span (see the file comment)
   std::vector<double> lut_;       ///< hyp[v*guesses + g]
   detail::ClassTable table_;
+  std::vector<double> ref_;       ///< the first trace (valid while n_ > 0)
   std::vector<double> sum_s_, sum_s2_;  ///< per sample, shared by all guesses
+  std::vector<double> shift_;     ///< one shifted row (ingest/merge scratch)
   // Read cache (see the file comment).
   mutable bool cache_live_ = false;
   mutable std::vector<double> sum_h_, sum_h2_;  ///< per guess
@@ -282,6 +331,9 @@ class OnlineDpa {
   std::size_t num_classes(std::size_t bit = 0) const noexcept {
     return tables_[table_of_[bit]].num_classes();
   }
+  /// The live span; see OnlineCpa::span_lo().
+  std::size_t span_lo() const noexcept { return lo_; }
+  std::size_t span_hi() const noexcept { return hi_; }
 
   /// Bias signal T[j] = A0[j] - A1[j] of one (guess, bit) at the current
   /// prefix, with peak statistics restricted to `window`.
@@ -328,10 +380,13 @@ class OnlineDpa {
   const kernels::KernelTable* kernels_ = &kernels::active();
   std::size_t m_ = 0;
   std::size_t n_ = 0;
+  std::size_t lo_ = 0, hi_ = 0;  ///< live span
   std::vector<double> lut_;      ///< d[(b*256 + v)*guesses + g] in {0.0, 1.0}
   std::vector<detail::ClassTable> tables_;  ///< one per distinct byte
   std::vector<std::size_t> table_of_;       ///< bit -> its byte's table
+  std::vector<double> ref_;         ///< the first trace (valid while n_ > 0)
   std::vector<double> sum_s_;       ///< per sample, shared
+  std::vector<double> shift_;       ///< one shifted row (scratch)
   // Read cache (see the file comment).
   mutable bool cache_live_ = false;
   mutable std::vector<std::uint64_t> n1_;  ///< bits × guesses

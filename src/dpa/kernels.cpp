@@ -25,6 +25,30 @@ namespace {
 
 // ---------------------------------------------------------------- portable
 
+void shift_span_portable(double* dst, const double* src, const double* ref,
+                         std::size_t m, std::size_t* lo, std::size_t* hi) {
+  // Only samples outside the current span can widen it: scan [0, lo)
+  // from the left and [hi, m) from the right, comparing without
+  // storing. An empty span scans the row once from the left, and from
+  // the right only down to the first live sample found.
+  std::size_t a = *lo, b = *hi;
+  if (a == b) {
+    a = m;
+    b = 0;
+  }
+  std::size_t f = 0;
+  while (f < a && src[f] - ref[f] == 0.0) ++f;
+  const std::size_t floor = std::max(b, f);
+  std::size_t k = m;
+  while (k > floor && src[k - 1] - ref[k - 1] == 0.0) --k;
+  if (f < a) a = f;
+  if (k > b) b = k;
+  if (a >= b) return;  // no live sample yet
+  *lo = a;
+  *hi = b;
+  for (std::size_t j = a; j < b; ++j) dst[j] = src[j] - ref[j];
+}
+
 void cpa_moments_portable(double* sum_s, double* sum_s2,
                           const double* const* rows, std::size_t cnt,
                           std::size_t m) {
@@ -39,9 +63,10 @@ void cpa_moments_portable(double* sum_s, double* sum_s2,
 
 void cpa_rank_update_portable(double* sum_hs, const double* const* rows,
                               const double* const* hyp, std::size_t cnt,
-                              unsigned guesses, std::size_t m) {
+                              unsigned guesses, std::size_t m,
+                              std::size_t ld) {
   for (unsigned g = 0; g < guesses; ++g) {
-    double* dst = sum_hs + static_cast<std::size_t>(g) * m;
+    double* dst = sum_hs + static_cast<std::size_t>(g) * ld;
     for (std::size_t c = 0; c < cnt; ++c) {
       const double h = hyp[c][g];
       if (h == 0.0) continue;  // zero hypothesis contributes nothing
@@ -78,8 +103,9 @@ void corr_scan_portable(double* rho, const double* hs, const double* sum_s,
 }
 
 constexpr KernelTable kPortable = {
-    "portable",        &cpa_moments_portable, &cpa_rank_update_portable,
-    &row_add_portable, &masked_sum_portable,  &corr_scan_portable,
+    "portable",          &shift_span_portable, &cpa_moments_portable,
+    &cpa_rank_update_portable, &row_add_portable, &masked_sum_portable,
+    &corr_scan_portable,
 };
 
 #ifdef QDI_KERNELS_X86
@@ -87,6 +113,57 @@ constexpr KernelTable kPortable = {
 // ------------------------------------------------------------------- avx2
 // target("avx2") only — deliberately NOT "fma": mul and add must round
 // separately to match the portable arm bit for bit.
+
+/// Bit i set when src[i] - ref[i] != 0.0, for i < 4 (unordered, so
+/// NaN counts as nonzero like the portable arm's scalar test).
+__attribute__((target("avx2"))) inline int live4(const double* src,
+                                                 const double* ref) {
+  return _mm256_movemask_pd(
+      _mm256_cmp_pd(_mm256_sub_pd(_mm256_loadu_pd(src), _mm256_loadu_pd(ref)),
+                    _mm256_setzero_pd(), _CMP_NEQ_UQ));
+}
+
+// The same subtraction per sample, and the same span: the scans test
+// four differences per compare and stop at the same first/last index.
+__attribute__((target("avx2"))) void shift_span_avx2(
+    double* dst, const double* src, const double* ref, std::size_t m,
+    std::size_t* lo, std::size_t* hi) {
+  std::size_t a = *lo, b = *hi;
+  if (a == b) {
+    a = m;
+    b = 0;
+  }
+  std::size_t f = 0;
+  for (; f + 4 <= a; f += 4) {
+    const int nz = live4(src + f, ref + f);
+    if (nz != 0) {
+      f += static_cast<std::size_t>(__builtin_ctz(static_cast<unsigned>(nz)));
+      break;
+    }
+  }
+  while (f < a && src[f] - ref[f] == 0.0) ++f;
+  const std::size_t floor = std::max(b, f);
+  std::size_t k = m;
+  for (; k >= floor + 4; k -= 4) {
+    const int nz = live4(src + k - 4, ref + k - 4);
+    if (nz != 0) {
+      k = k - 3 +
+          static_cast<std::size_t>(31 - __builtin_clz(static_cast<unsigned>(nz)));
+      break;
+    }
+  }
+  while (k > floor && src[k - 1] - ref[k - 1] == 0.0) --k;
+  if (f < a) a = f;
+  if (k > b) b = k;
+  if (a >= b) return;
+  *lo = a;
+  *hi = b;
+  std::size_t j = a;
+  for (; j + 4 <= b; j += 4)
+    _mm256_storeu_pd(dst + j, _mm256_sub_pd(_mm256_loadu_pd(src + j),
+                                            _mm256_loadu_pd(ref + j)));
+  for (; j < b; ++j) dst[j] = src[j] - ref[j];
+}
 
 __attribute__((target("avx2"))) void cpa_moments_avx2(
     double* sum_s, double* sum_s2, const double* const* rows, std::size_t cnt,
@@ -158,11 +235,11 @@ constexpr std::size_t kTileRows = 32;
 // skip decision) are gathered in order and added tile by tile.
 __attribute__((target("avx2"))) void cpa_rank_update_avx2(
     double* sum_hs, const double* const* rows, const double* const* hyp,
-    std::size_t cnt, unsigned guesses, std::size_t m) {
+    std::size_t cnt, unsigned guesses, std::size_t m, std::size_t ld) {
   const double* nz_rows[kTileRows];
   double nz_h[kTileRows];
   for (unsigned g = 0; g < guesses; ++g) {
-    double* dst = sum_hs + static_cast<std::size_t>(g) * m;
+    double* dst = sum_hs + static_cast<std::size_t>(g) * ld;
     for (std::size_t c0 = 0; c0 < cnt; c0 += kTileRows) {
       const std::size_t c1 = std::min(cnt, c0 + kTileRows);
       std::size_t k = 0;
@@ -226,8 +303,8 @@ __attribute__((target("avx2"))) void corr_scan_avx2(
 }
 
 constexpr KernelTable kAvx2 = {
-    "avx2",        &cpa_moments_avx2, &cpa_rank_update_avx2,
-    &row_add_avx2, &masked_sum_avx2,  &corr_scan_avx2,
+    "avx2",        &shift_span_avx2, &cpa_moments_avx2, &cpa_rank_update_avx2,
+    &row_add_avx2, &masked_sum_avx2, &corr_scan_avx2,
 };
 
 #endif  // QDI_KERNELS_X86

@@ -7,8 +7,8 @@
 //    BIT-identical accumulator state and emit bit-identical
 //    finalize()/correlation_trace()/recover()/bias() results, which
 //    pins the read-side kernels (cpa_rank_update, masked_sum,
-//    corr_scan) as well as the ingest ones (the determinism contract
-//    of qdi/dpa/kernels.hpp);
+//    corr_scan) as well as the ingest ones (shift_span and the span's
+//    row adds; the determinism contract of qdi/dpa/kernels.hpp);
 //  * the cached per-sample variance scan is invalidated by
 //    ingest/merge/restore (a stale cache would poison every prefix
 //    probe after the first);
@@ -17,8 +17,10 @@
 //    acquire, and ingest stays index-ordered on the calling thread.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -200,15 +202,85 @@ TEST(KernelArms, ReadKernelsBitIdenticalOnLongRowLists) {
         rows.push_back(data[c].data());
         hyps.push_back(hyp[c].data());
       }
-      std::vector<double> a(guesses * m, 0.5), b = a;
-      ref.cpa_rank_update(a.data(), rows.data(), hyps.data(), cnt, guesses, m);
+      // Guess rows strided wider than the updated samples, as a read
+      // over a span narrower than the trace lays them out.
+      const std::size_t ld = m + 3;
+      std::vector<double> a(guesses * ld, 0.5), b = a;
+      ref.cpa_rank_update(a.data(), rows.data(), hyps.data(), cnt, guesses, m,
+                          ld);
       avx2->cpa_rank_update(b.data(), rows.data(), hyps.data(), cnt, guesses,
-                            m);
+                            m, ld);
       EXPECT_EQ(a, b) << "cpa_rank_update m=" << m << " cnt=" << cnt;
       std::vector<double> c(m, -1.25), d = c;
       ref.masked_sum(c.data(), rows.data(), mask.data(), cnt, m);
       avx2->masked_sum(d.data(), rows.data(), mask.data(), cnt, m);
       EXPECT_EQ(c, d) << "masked_sum m=" << m << " cnt=" << cnt;
+    }
+  }
+}
+
+TEST(KernelArms, ShiftSpanBitIdenticalOnSparseRows) {
+  // The ingest shift: the same differences and the same widened span in
+  // both arms, for nonzero runs at every offset around the vector
+  // width, starting spans empty or not, and a NaN (which counts as
+  // nonzero) — including -0.0 - +0.0, which is zero and widens nothing.
+  const qk::KernelTable* avx2 = qk::table(qk::Kind::Avx2);
+  if (avx2 == nullptr) GTEST_SKIP() << "no AVX2 arm on this build/CPU";
+  const qk::KernelTable& ref = *qk::table(qk::Kind::Portable);
+  qu::Rng rng(0x56u);
+  for (const std::size_t m : {std::size_t{0}, std::size_t{1}, std::size_t{5},
+                              std::size_t{8}, std::size_t{13},
+                              std::size_t{37}}) {
+    for (int trial = 0; trial < 200; ++trial) {
+      std::vector<double> base(m), src(m);
+      for (std::size_t j = 0; j < m; ++j) base[j] = rng.gaussian(0.0, 1.0);
+      src = base;
+      const std::size_t flips = m == 0 ? 0 : rng.below(3);
+      for (std::size_t f = 0; f < flips; ++f) {
+        const std::size_t j = rng.below(m);
+        const int kind = static_cast<int>(rng.below(4));
+        src[j] = kind == 0   ? std::nan("")
+                 : kind == 1 ? base[j] + 1.0
+                 : kind == 2 ? -0.0
+                             : base[j];
+        if (kind == 2) base[j] = 0.0;
+      }
+      std::size_t lo0 = 0, hi0 = 0;
+      if (m > 0 && rng.below(2) == 0) {
+        lo0 = rng.below(m);
+        hi0 = lo0 + rng.below(m - lo0 + 1);
+      }
+      std::vector<double> a(m, 7.0), b(m, 7.0);
+      std::size_t alo = lo0, ahi = hi0, blo = lo0, bhi = hi0;
+      ref.shift_span(a.data(), src.data(), base.data(), m, &alo, &ahi);
+      avx2->shift_span(b.data(), src.data(), base.data(), m, &blo, &bhi);
+      ASSERT_TRUE(m == 0 ||
+                  std::memcmp(a.data(), b.data(), m * sizeof(double)) == 0)
+          << "m=" << m;
+      ASSERT_EQ(alo, blo) << "m=" << m;
+      ASSERT_EQ(ahi, bhi) << "m=" << m;
+      // The span is the hull of the start span and the nonzero
+      // differences; dst holds the differences over it and is left
+      // untouched elsewhere.
+      std::size_t lo = lo0, hi = hi0;
+      for (std::size_t j = 0; j < m; ++j) {
+        const double d = src[j] - base[j];
+        if (j >= alo && j < ahi) {
+          EXPECT_EQ(std::memcmp(&a[j], &d, sizeof d), 0) << "j=" << j;
+        } else {
+          EXPECT_EQ(a[j], 7.0) << "j=" << j;
+        }
+        if (!(d != 0.0)) continue;
+        if (lo == hi) {
+          lo = j;
+          hi = j + 1;
+        } else {
+          lo = std::min(lo, j);
+          hi = std::max(hi, j + 1);
+        }
+      }
+      EXPECT_EQ(alo, lo);
+      EXPECT_EQ(ahi, hi);
     }
   }
 }

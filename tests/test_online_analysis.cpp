@@ -11,12 +11,16 @@
 //    map (64 DES / 256 AES classes), bits on two plaintext bytes;
 //  * a predictor whose plaintext byte lies past the set's plaintext
 //    stride is rejected before any state moves;
-//  * CpaResult/KeyRecoveryResult tie handling (ties rank below);
+//  * the reference shift: constant samples read exactly 0.0, the live
+//    span, and a span that widens between reads;
+//  * CpaResult/KeyRecoveryResult tie handling (ties rank below; an
+//    exactly-zero score ranks last);
 //  * fused-campaign results == materialized-TraceSet results on two
 //    registry targets, including MTD and the rank trajectory;
 //  * fused-campaign peak RSS independent of the trace count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -239,6 +243,19 @@ void expect_relatively_near(const std::vector<double>& a,
     EXPECT_NEAR(a[i], b[i], rel * std::fabs(b[i])) << "index " << i;
 }
 
+/// A per-sample trace (correlation or bias) within `rel` of the
+/// trace's own scale, max_j |b[j]|: rounding error in a difference of
+/// sums scales with the sums, so a near-zero sample is held to the
+/// trace's absolute precision, not to a relative bound on its residue.
+void expect_trace_near(const std::vector<double>& a,
+                       const std::vector<double>& b, double rel) {
+  ASSERT_EQ(a.size(), b.size());
+  double scale = 0.0;
+  for (double v : b) scale = std::max(scale, std::fabs(v));
+  for (std::size_t i = 0; i < a.size(); ++i)
+    EXPECT_NEAR(a[i], b[i], rel * scale) << "index " << i;
+}
+
 }  // namespace
 
 TEST(OnlineAnalysis, StateIsIndependentOfInterleavedReads) {
@@ -284,8 +301,8 @@ TEST(OnlineAnalysis, ReadEveryEightTracesMatchesOneFinalRead) {
   EXPECT_EQ(a.best_guess, key);
   EXPECT_EQ(b.best_guess, key);
   EXPECT_EQ(a.rank_of(key), b.rank_of(key));
-  expect_relatively_near(every8.correlation_trace(key),
-                         once.correlation_trace(key), 1e-12);
+  expect_trace_near(every8.correlation_trace(key),
+                    once.correlation_trace(key), 1e-12);
 
   const std::vector<qd::SelectionFn> bits = {qd::aes_sbox_selection(0, 0),
                                              qd::aes_sbox_selection(0, 7)};
@@ -301,8 +318,8 @@ TEST(OnlineAnalysis, ReadEveryEightTracesMatchesOneFinalRead) {
   EXPECT_EQ(da.best_guess, key);
   EXPECT_EQ(db.best_guess, key);
   EXPECT_EQ(da.rank_of(key), db.rank_of(key));
-  expect_relatively_near(devery8.bias(key, 1).bias, donce.bias(key, 1).bias,
-                         1e-12);
+  expect_trace_near(devery8.bias(key, 1).bias, donce.bias(key, 1).bias,
+                    1e-12);
 }
 
 TEST(OnlineAnalysis, ClassMapFollowsThePredictors) {
@@ -381,6 +398,136 @@ TEST(OnlineAnalysis, PredictorByteOutsidePlaintextStrideThrows) {
   EXPECT_EQ(ok.count(), ts.size());
 }
 
+// ---- reference shift and live span ----------------------------------------
+
+namespace {
+
+/// Append n traces with a DC level of ~1000 everywhere, a planted HW
+/// leak at sample `leak` and gaussian noise on samples [vary_lo,
+/// vary_hi) only; every other sample is the same constant in every
+/// trace.
+void add_spanned(qd::TraceSet& ts, std::size_t n, std::size_t m,
+                 std::size_t vary_lo, std::size_t vary_hi, std::size_t leak,
+                 std::uint8_t key, qu::Rng& rng) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint8_t p = rng.byte();
+    qp::PowerTrace t(0.0, 10.0, m);
+    for (std::size_t j = 0; j < m; ++j)
+      t[j] = 1000.0 + 0.1 * static_cast<double>(j);
+    for (std::size_t j = vary_lo; j < vary_hi; ++j)
+      t[j] += rng.gaussian(0.0, 1.0);
+    t[leak] += 1.5 * static_cast<double>(__builtin_popcount(
+                         qdi::crypto::aes_sbox(static_cast<std::uint8_t>(p ^ key))));
+    ts.add(t, {p, rng.byte()});
+  }
+}
+
+}  // namespace
+
+TEST(OnlineAnalysis, ConstantSamplesReadExactlyZero) {
+  // Samples where every trace equals the first carry exactly zero
+  // shifted sums: correlation and bias read 0.0 there, not the
+  // cancellation residue of raw moments at a DC level of ~1000.
+  const std::uint8_t key = 0x3d;
+  qu::Rng rng(0x64);
+  qd::TraceSet ts;
+  add_spanned(ts, 300, 40, 12, 20, 15, key, rng);
+  qd::OnlineCpa cpa(qd::aes_sbox_hw_model(0), 256);
+  cpa.add_prefix(ts, 0, ts.size());
+  EXPECT_EQ(cpa.span_lo(), 12u);
+  EXPECT_EQ(cpa.span_hi(), 20u);
+  const qd::CpaResult r = cpa.finalize();
+  EXPECT_EQ(r.best_guess, key);
+  EXPECT_EQ(r.best_sample, 15u);
+  const std::vector<double> rho = cpa.correlation_trace(key);
+  for (std::size_t j = 0; j < rho.size(); ++j)
+    if (j < 12 || j >= 20) EXPECT_EQ(rho[j], 0.0) << "sample " << j;
+  // A window holding constant samples only reads all-zero scores, and
+  // an all-zero reference score ranks last.
+  const qd::CpaResult flat = cpa.finalize(25, 40);
+  for (double c : flat.correlation) EXPECT_EQ(c, 0.0);
+  EXPECT_EQ(flat.rank_of(key), 255u);
+
+  qd::OnlineDpa dpa({qd::aes_sbox_selection(0, 0)}, 256);
+  dpa.add_prefix(ts, 0, ts.size());
+  const qd::BiasResult b = dpa.bias(key);
+  for (std::size_t j = 0; j < b.bias.size(); ++j)
+    if (j < 12 || j >= 20) EXPECT_EQ(b.bias[j], 0.0) << "sample " << j;
+  EXPECT_EQ(dpa.recover().best_guess, key);
+
+  // Bitwise-identical traces: no live sample, all-zero outcomes.
+  qd::TraceSet same;
+  for (std::size_t i = 0; i < 64; ++i) {
+    const std::vector<std::uint8_t> pt = {static_cast<std::uint8_t>(i * 7), 0};
+    same.add(ts.trace(0), pt);
+  }
+  qd::OnlineCpa flat_cpa(qd::aes_sbox_hw_model(0), 256);
+  flat_cpa.add_prefix(same, 0, same.size());
+  EXPECT_EQ(flat_cpa.span_lo(), flat_cpa.span_hi());
+  const qd::CpaResult z = flat_cpa.finalize();
+  for (double c : z.correlation) EXPECT_EQ(c, 0.0);
+  EXPECT_EQ(z.rank_of(key), 255u);
+  EXPECT_EQ(qd::cpa_measurements_to_disclosure(same, qd::aes_sbox_hw_model(0),
+                                               256, key),
+            0u);
+  const qd::KeyRecoveryResult kz =
+      qd::recover_key(same, qd::aes_sbox_selection(0, 0), 256);
+  for (double p : kz.guess_peak) EXPECT_EQ(p, 0.0);
+  EXPECT_EQ(kz.rank_of(key), 255u);
+}
+
+TEST(OnlineAnalysis, SpanWideningBetweenReadsMatchesOneFinalRead) {
+  // The first 40 traces vary on [10, 14) only, the rest on [3, 20):
+  // the span widens between two reads, over cache columns and pending
+  // rows that must read as +0.0 there. The folded reads end within
+  // 1e-12 of one final read, with the same outcome.
+  const std::uint8_t key = 0x91;
+  qu::Rng rng(0x65);
+  qd::TraceSet ts;
+  add_spanned(ts, 40, 24, 10, 14, 12, key, rng);
+  add_spanned(ts, 360, 24, 3, 20, 12, key, rng);
+
+  const qd::LeakageModel model = qd::aes_sbox_hw_model(0);
+  qd::OnlineCpa once(model, 256), probed(model, 256);
+  once.add_prefix(ts, 0, ts.size());
+  for (std::size_t i = 0; i < ts.size(); i += 8) {
+    probed.add_prefix(ts, i, i + 8);
+    (void)probed.finalize();
+    if (i + 8 == 40) {
+      EXPECT_EQ(probed.span_lo(), 10u);
+      EXPECT_EQ(probed.span_hi(), 14u);
+    }
+  }
+  EXPECT_EQ(probed.span_lo(), 3u);
+  EXPECT_EQ(probed.span_hi(), 20u);
+  EXPECT_EQ(probed.serialize_state(), once.serialize_state());
+  const qd::CpaResult a = probed.finalize();
+  const qd::CpaResult b = once.finalize();
+  expect_relatively_near(a.correlation, b.correlation, 1e-12);
+  EXPECT_EQ(a.best_guess, key);
+  EXPECT_EQ(b.best_guess, key);
+  EXPECT_EQ(a.best_sample, b.best_sample);
+  EXPECT_EQ(a.rank_of(key), b.rank_of(key));
+  expect_trace_near(probed.correlation_trace(key), once.correlation_trace(key),
+                    1e-12);
+
+  const std::vector<qd::SelectionFn> bits = {qd::aes_sbox_selection(0, 0),
+                                             qd::aes_sbox_selection(0, 5)};
+  qd::OnlineDpa donce(bits, 256), dprobed(bits, 256);
+  donce.add_prefix(ts, 0, ts.size());
+  for (std::size_t i = 0; i < ts.size(); i += 8) {
+    dprobed.add_prefix(ts, i, i + 8);
+    (void)dprobed.recover();
+  }
+  EXPECT_EQ(dprobed.serialize_state(), donce.serialize_state());
+  const qd::KeyRecoveryResult da = dprobed.recover();
+  const qd::KeyRecoveryResult db = donce.recover();
+  expect_relatively_near(da.guess_peak, db.guess_peak, 1e-12);
+  EXPECT_EQ(da.best_guess, db.best_guess);
+  EXPECT_EQ(da.rank_of(key), db.rank_of(key));
+  expect_trace_near(dprobed.bias(key, 1).bias, donce.bias(key, 1).bias, 1e-12);
+}
+
 // ---- tie handling ----------------------------------------------------------
 
 TEST(RankOf, TiedScoresRankBelowTheReference) {
@@ -398,6 +545,28 @@ TEST(RankOf, TiedScoresRankBelowTheReference) {
   EXPECT_EQ(dpa.rank_of(1), 1u);
   EXPECT_EQ(dpa.rank_of(3), 1u);
   EXPECT_EQ(dpa.rank_of(2), 0u);
+}
+
+TEST(RankOf, ZeroScoreRanksLast) {
+  // A score of exactly 0.0 is no evidence: the reference ranks below
+  // every other guess (G - 1), tied or not; nonzero references keep
+  // the tie rule above.
+  qd::CpaResult cpa;
+  cpa.correlation = {0.0, 0.3, 0.0, 0.1};
+  EXPECT_EQ(cpa.rank_of(0), 3u);
+  EXPECT_EQ(cpa.rank_of(2), 3u);
+  EXPECT_EQ(cpa.rank_of(1), 0u);
+  EXPECT_EQ(cpa.rank_of(3), 1u);
+  cpa.correlation.assign(5, 0.0);
+  for (unsigned g = 0; g < 5; ++g) EXPECT_EQ(cpa.rank_of(g), 4u);
+
+  qd::KeyRecoveryResult dpa;
+  dpa.guess_peak = {2.0, 0.0, 0.0};
+  EXPECT_EQ(dpa.rank_of(1), 2u);
+  EXPECT_EQ(dpa.rank_of(2), 2u);
+  EXPECT_EQ(dpa.rank_of(0), 0u);
+  dpa.guess_peak.assign(64, 0.0);
+  EXPECT_EQ(dpa.rank_of(17), 63u);
 }
 
 TEST(RankOf, DuplicatedModelColumnsTieExactly) {

@@ -131,6 +131,100 @@ TEST(OnlineMerge, DpaNWaySplitMergeMatchesSinglePass) {
   }
 }
 
+namespace {
+
+/// Traces at a DC level of ~1000 with a planted HW leak at sample 6,
+/// noise on samples [4, 12), and a side-specific constant `level` at
+/// sample 20 (every trace of one side agrees there, so each side's own
+/// span excludes it; the reference rows of two sides differ there).
+void add_side(qd::TraceSet& ts, std::size_t n, double level,
+              std::uint8_t key, qu::Rng& rng) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint8_t p = rng.byte();
+    qp::PowerTrace t(0.0, 10.0, 28);
+    for (std::size_t j = 0; j < 28; ++j)
+      t[j] = 1000.0 + 0.25 * static_cast<double>(j);
+    for (std::size_t j = 4; j < 12; ++j) t[j] += rng.gaussian(0.0, 1.0);
+    t[6] += 1.5 * static_cast<double>(__builtin_popcount(
+                      qdi::crypto::aes_sbox(static_cast<std::uint8_t>(p ^ key))));
+    t[20] = level;
+    ts.add(t, {p, rng.byte()});
+  }
+}
+
+void expect_rel(const std::vector<double>& a, const std::vector<double>& b,
+                double rel) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i)
+    EXPECT_NEAR(a[i], b[i], rel * std::fabs(b[i])) << "index " << i;
+}
+
+}  // namespace
+
+TEST(OnlineMerge, DifferingReferencesRebaseOntoThisSide) {
+  // Two sides with different reference rows (their first traces): the
+  // merge rebases the other side's sums onto this side's reference, and
+  // the span becomes the hull of both spans and of the samples where
+  // the references differ (sample 20, constant within each side). The
+  // result matches one pass over the union to 1e-12, with the same
+  // discrete outcome and the same span.
+  const std::uint8_t key = 0x6b;
+  qu::Rng rng(0x5b);
+  qd::TraceSet ts;
+  add_side(ts, 150, 3.0, key, rng);
+  add_side(ts, 250, 5.5, key, rng);
+  const qd::LeakageModel model = qd::aes_sbox_hw_model(0);
+
+  qd::OnlineCpa whole(model, 256), left(model, 256), right(model, 256);
+  whole.add_prefix(ts, 0, ts.size());
+  left.add_prefix(ts, 0, 150);
+  right.add_prefix(ts, 150, ts.size());
+  EXPECT_EQ(left.span_lo(), 4u);
+  EXPECT_EQ(left.span_hi(), 12u);
+  left.merge(right);
+  EXPECT_EQ(left.span_lo(), whole.span_lo());
+  EXPECT_EQ(left.span_hi(), 21u);
+  EXPECT_EQ(whole.span_hi(), 21u);
+  const qd::CpaResult a = left.finalize();
+  const qd::CpaResult b = whole.finalize();
+  expect_rel(a.correlation, b.correlation, 1e-12);
+  EXPECT_EQ(a.best_guess, key);
+  EXPECT_EQ(a.best_guess, b.best_guess);
+  EXPECT_EQ(a.best_sample, b.best_sample);
+  EXPECT_EQ(a.rank_of(key), b.rank_of(key));
+  const std::vector<double> ra = left.correlation_trace(key);
+  const std::vector<double> rb = whole.correlation_trace(key);
+  for (std::size_t j = 0; j < ra.size(); ++j) {
+    EXPECT_NEAR(ra[j], rb[j], 1e-12) << "sample " << j;
+    if (j < 4 || j >= 21) EXPECT_EQ(ra[j], 0.0) << "sample " << j;
+  }
+
+  const std::vector<qd::SelectionFn> bits = {qd::aes_sbox_selection(0, 0),
+                                             qd::aes_sbox_selection(0, 4)};
+  qd::OnlineDpa dwhole(bits, 256), dleft(bits, 256), dright(bits, 256);
+  dwhole.add_prefix(ts, 0, ts.size());
+  dleft.add_prefix(ts, 0, 150);
+  dright.add_prefix(ts, 150, ts.size());
+  dleft.merge(dright);
+  EXPECT_EQ(dleft.span_lo(), dwhole.span_lo());
+  EXPECT_EQ(dleft.span_hi(), dwhole.span_hi());
+  const qd::KeyRecoveryResult da = dleft.recover();
+  const qd::KeyRecoveryResult db = dwhole.recover();
+  expect_rel(da.guess_peak, db.guess_peak, 1e-12);
+  EXPECT_EQ(da.best_guess, key);
+  EXPECT_EQ(da.best_guess, db.best_guess);
+  EXPECT_EQ(da.rank_of(key), db.rank_of(key));
+
+  // An empty side adopts the other's reference: its state is then the
+  // other's, byte for byte.
+  qd::OnlineCpa adopt(model, 256);
+  adopt.merge(right);
+  EXPECT_EQ(adopt.serialize_state(), right.serialize_state());
+  qd::OnlineDpa dadopt(bits, 256);
+  dadopt.merge(dright);
+  EXPECT_EQ(dadopt.serialize_state(), dright.serialize_state());
+}
+
 TEST(OnlineMerge, MergeIntoEmptyAndFromEmpty) {
   qu::Rng rng(0x53);
   const qd::TraceSet ts = random_traces(40, 12, rng);
@@ -273,9 +367,10 @@ TEST(OnlineMerge, DpaRestoreRejectsClassCountsNotSummingToTraceCount) {
   // A well-framed 4-trace snapshot whose first class count is patched:
   // set sizes derived from the counts would no longer add up to n (and
   // bias() would report n0 = n - n1 wrapped around).
-  // Layout: magic, guesses, bits, m, n (u64 each), sum_s (u64 length +
-  // m doubles), then the class table: counts (u64 length + one u64 per
-  // class) and sums.
+  // Layout: magic, guesses, bits, m, n, span lo, span hi (u64 each),
+  // the reference row (u64 length + m doubles), sum_s over the span
+  // (u64 length + hi - lo doubles), then the class table: counts (u64
+  // length + one u64 per class) and sums.
   qu::Rng rng(0x59);
   const std::size_t m = 5;
   const qd::TraceSet ts = random_traces(4, m, rng);
@@ -283,7 +378,9 @@ TEST(OnlineMerge, DpaRestoreRejectsClassCountsNotSummingToTraceCount) {
   qd::OnlineDpa acc(bits, 4);
   acc.add_prefix(ts, 0, 4);
   const std::vector<std::uint8_t> snap = acc.serialize_state();
-  const std::size_t counts_at = 5 * 8 + 8 + m * sizeof(double) + 8;
+  const std::size_t w = acc.span_hi() - acc.span_lo();
+  const std::size_t counts_at =
+      7 * 8 + 8 + m * sizeof(double) + 8 + w * sizeof(double) + 8;
   ASSERT_LT(counts_at + 16, snap.size());
   ASSERT_LE(snap[counts_at], 4u);
 
@@ -336,8 +433,91 @@ TEST(OnlineMerge, ParentFormatSnapshotsThrowBadMagic) {
   EXPECT_EQ(restore_kind(dpa_victim, with_magic(dpa.serialize_state(),
                                                 0x71647044)),  // "qdpD"
             qd::StateError::Kind::BadMagic);
+  // The unshifted full-width class tables were "qdC2" / "qdD2".
+  EXPECT_EQ(restore_kind(cpa_victim, with_magic(cpa.serialize_state(),
+                                                0x71644332)),  // "qdC2"
+            qd::StateError::Kind::BadMagic);
+  EXPECT_EQ(restore_kind(dpa_victim, with_magic(dpa.serialize_state(),
+                                                0x71644432)),  // "qdD2"
+            qd::StateError::Kind::BadMagic);
   EXPECT_EQ(cpa_victim.count(), 0u);
   EXPECT_EQ(dpa_victim.count(), 0u);
+}
+
+TEST(OnlineMerge, SnapshotSpanOutsideSamplesIsGeometry) {
+  // The span fields sit after magic, guesses (DPA: and bits), m and n.
+  // A span past m, or with lo > hi, is a Geometry error that leaves the
+  // receiver untouched; so is a nonempty span over zero traces.
+  qu::Rng rng(0x5c);
+  const qd::TraceSet ts = random_traces(9, 6, rng);
+  const auto patched = [](std::vector<std::uint8_t> snap, std::size_t at,
+                          std::uint64_t v) {
+    for (int i = 0; i < 8; ++i)
+      snap[at + static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(v >> (8 * i));
+    return snap;
+  };
+  const qd::LeakageModel model = qd::aes_xor_hw_model(0);
+  qd::OnlineCpa cpa(model, 4);
+  cpa.add_prefix(ts, 0, 9);
+  ASSERT_EQ(cpa.span_lo(), 0u);
+  ASSERT_EQ(cpa.span_hi(), 6u);
+  const std::vector<std::uint8_t> csnap = cpa.serialize_state();
+  qd::OnlineCpa cvictim(model, 4);
+  cvictim.add_prefix(ts, 0, 3);
+  const std::vector<std::uint8_t> cbefore = cvictim.serialize_state();
+  for (const auto& bad : {patched(csnap, 40, 7),      // hi > m
+                          patched(csnap, 32, 7),      // lo > hi, lo > m
+                          patched(patched(csnap, 32, 4), 40, 3),  // lo > hi
+                          // [1, 7): the width still matches the stored
+                          // sums, only the bound check can catch it
+                          patched(patched(csnap, 32, 1), 40, 7)}) {
+    EXPECT_EQ(restore_kind(cvictim, bad), qd::StateError::Kind::Geometry);
+    EXPECT_EQ(cvictim.serialize_state(), cbefore);
+  }
+  qd::OnlineCpa empty(model, 4);
+  empty.add_prefix(ts, 0, 9);
+  empty.reset();
+  const std::vector<std::uint8_t> esnap = empty.serialize_state();
+  EXPECT_EQ(restore_kind(cvictim, patched(esnap, 40, 2)),
+            qd::StateError::Kind::Geometry);
+
+  const std::vector<qd::SelectionFn> bits = {qd::aes_sbox_selection(0, 0)};
+  qd::OnlineDpa dpa(bits, 4);
+  dpa.add_prefix(ts, 0, 9);
+  const std::vector<std::uint8_t> dsnap = dpa.serialize_state();
+  qd::OnlineDpa dvictim(bits, 4);
+  dvictim.add_prefix(ts, 0, 3);
+  const std::vector<std::uint8_t> dbefore = dvictim.serialize_state();
+  for (const auto& bad : {patched(dsnap, 48, 7), patched(dsnap, 40, 7),
+                          patched(patched(dsnap, 40, 1), 48, 7)}) {
+    EXPECT_EQ(restore_kind(dvictim, bad), qd::StateError::Kind::Geometry);
+    EXPECT_EQ(dvictim.serialize_state(), dbefore);
+  }
+}
+
+TEST(OnlineMerge, SnapshotCarriesTheSpanOnly) {
+  // m = 64 samples of which only [5, 9) vary: besides the reference row,
+  // the snapshot holds 4 samples per per-sample sum and per class row.
+  qu::Rng rng(0x5d);
+  qd::TraceSet ts;
+  for (std::size_t i = 0; i < 30; ++i) {
+    qp::PowerTrace t(0.0, 10.0, 64);
+    for (std::size_t j = 0; j < 64; ++j) t[j] = 100.0;
+    for (std::size_t j = 5; j < 9; ++j) t[j] += rng.gaussian(0.0, 1.0);
+    ts.add(t, {rng.byte()});
+  }
+  qd::OnlineCpa cpa(qd::aes_xor_hw_model(0), 256);
+  cpa.add_prefix(ts, 0, ts.size());
+  const std::size_t head = 6 * 8 + (8 + 64 * 8);
+  const std::size_t w = 4;
+  EXPECT_EQ(cpa.serialize_state().size(),
+            head + 2 * (8 + w * 8) + (8 + 256 * 8) + (8 + 256 * w * 8));
+  qd::OnlineCpa back(qd::aes_xor_hw_model(0), 256);
+  back.restore_state(cpa.serialize_state());
+  EXPECT_EQ(back.span_lo(), 5u);
+  EXPECT_EQ(back.span_hi(), 9u);
+  EXPECT_EQ(back.serialize_state(), cpa.serialize_state());
 }
 
 TEST(OnlineMerge, EveryTruncationLengthIsRejectedAndLeavesStateUntouched) {

@@ -229,12 +229,14 @@ TEST(CheckpointCodec, CorruptionVersionAndGeometryAreNamed) {
     bad[4] = static_cast<std::uint8_t>(qc::kCheckpointVersion + 1);
     EXPECT_EQ(decode_kind(bad), qc::CheckpointError::Kind::VersionMismatch);
   }
-  // A version-1 record (all-guess accumulator sums, before the class
-  // tables) is rejected by name, not decoded into a foreign snapshot.
-  {
+  // Version-1 records (all-guess accumulator sums) and version-2
+  // records (unshifted full-width class tables) are rejected by name,
+  // not decoded into a foreign snapshot.
+  for (const std::uint8_t version : {std::uint8_t{1}, std::uint8_t{2}}) {
     std::vector<std::uint8_t> old = bytes;
-    old[4] = 1;
-    EXPECT_EQ(decode_kind(old), qc::CheckpointError::Kind::VersionMismatch);
+    old[4] = version;
+    EXPECT_EQ(decode_kind(old), qc::CheckpointError::Kind::VersionMismatch)
+        << "version " << int{version};
   }
   // Identity mismatches are geometry errors.
   const auto geometry_kind = [&](std::uint64_t fp, std::uint64_t shard,
