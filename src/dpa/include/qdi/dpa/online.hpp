@@ -43,6 +43,10 @@
 //   CPA:  sum_hs[g][j] = sum_c h(c,g)·S[c][j],  sum_h, sum_h2 from counts
 //   DPA:  sum1[b][g][j] = sum_c D_b(c,g)·S[c][j], n1[b][g] from counts
 //
+// The CPA hypothesis h is the model's value centred per guess on its
+// mean over the 256 byte values (correlation is invariant under that
+// shift), so sum_hs does not carry sum_h times the reference offset.
+//
 // The first read after construction, merge(), restore_state() or
 // reset() builds the cache from every non-empty class, in class order.
 // While a cache exists, ingest also adds each trace into a pending row
@@ -180,18 +184,16 @@ class ClassTable {
              std::size_t hi, const double* delta);
   /// Replace counts and sums with a snapshot's (classes × (hi - lo)
   /// flat sums over the span; sizes already checked). Rows of empty
-  /// classes are not kept.
+  /// classes are not kept. The owner clears pending rows first, under
+  /// the geometry they were added with.
   void assign(std::vector<std::uint64_t> counts,
               const std::vector<double>& sums, std::size_t m, std::size_t lo,
               std::size_t hi);
-  /// Zero counts and sums and drop pending rows; keeps capacity.
+  /// Zero counts and sums; keeps capacity. The owner clears pending
+  /// rows first, as for assign().
   void reset() noexcept;
 
  private:
-  /// Zero every pending row whole and drop them (reset/restore, where
-  /// the span they were added under is gone).
-  void drop_pending() noexcept;
-
   int byte_;
   std::uint8_t cls_[256];
   std::vector<std::uint8_t> rep_;
@@ -297,7 +299,7 @@ class OnlineCpa {
   std::size_t m_ = 0;
   std::size_t n_ = 0;
   std::size_t lo_ = 0, hi_ = 0;   ///< live span (see the file comment)
-  std::vector<double> lut_;       ///< hyp[v*guesses + g]
+  std::vector<double> lut_;       ///< hyp[v*guesses + g], centred per g
   detail::ClassTable table_;
   std::vector<double> ref_;       ///< the first trace (valid while n_ > 0)
   std::vector<double> sum_s_, sum_s2_;  ///< per sample, shared by all guesses

@@ -180,19 +180,11 @@ void ClassTable::assign(std::vector<std::uint64_t> counts,
                   sum_[c].begin() + static_cast<std::ptrdiff_t>(lo));
     }
   }
-  drop_pending();
 }
 
 void ClassTable::reset() noexcept {
   std::fill(count_.begin(), count_.end(), 0);
   for (std::vector<double>& r : sum_) std::fill(r.begin(), r.end(), 0.0);
-  drop_pending();
-}
-
-void ClassTable::drop_pending() noexcept {
-  std::fill(pending_.begin(), pending_.end(), 0.0);
-  std::fill(slot_.begin(), slot_.end(), -1);
-  used_ = 0;
 }
 
 }  // namespace detail
@@ -217,7 +209,20 @@ OnlineCpa::OnlineCpa(LeakageModel model, unsigned num_guesses)
     : model_(std::move(model)),
       guesses_(num_guesses),
       lut_(tabulate(model_, guesses_)),
-      table_(model_.byte(), {lut_.data()}, guesses_) {}
+      table_(model_.byte(), {lut_.data()}, guesses_) {
+  // Correlation is invariant under a per-guess shift of the hypothesis,
+  // so once the class map is keyed on the raw values, each guess's LUT
+  // column is centred on its mean over the 256 byte values. Against
+  // shifted samples this keeps sum_hs[g][j] near sqrt(n) in scale
+  // instead of carrying sum_h times the reference's offset, which the
+  // covariance would then cancel (and a read's fold order would round).
+  for (unsigned g = 0; g < guesses_; ++g) {
+    double mean = 0.0;
+    for (unsigned v = 0; v < 256; ++v) mean += lut_[v * guesses_ + g];
+    mean /= 256.0;
+    for (unsigned v = 0; v < 256; ++v) lut_[v * guesses_ + g] -= mean;
+  }
+}
 
 void OnlineCpa::ensure_geometry(std::size_t m) {
   if (!sum_s_.empty() || n_ > 0) {
@@ -384,6 +389,7 @@ void OnlineCpa::reset() noexcept {
   lo_ = hi_ = 0;
   std::fill(sum_s_.begin(), sum_s_.end(), 0.0);
   std::fill(sum_s2_.begin(), sum_s2_.end(), 0.0);
+  table_.clear_pending(m_, 0, m_);
   table_.reset();
   cache_live_ = false;
   var_valid_ = false;
@@ -811,6 +817,7 @@ void OnlineCpa::restore_state(std::span<const std::uint8_t> bytes) {
   r.expect_end();
   sum_s_ = unspan(s, h);
   sum_s2_ = unspan(s2, h);
+  table_.clear_pending(m_, 0, m_);  // under the old geometry
   table_.assign(std::move(t.counts), t.sums, h.m, h.lo, h.hi);
   ref_ = std::move(h.ref);
   shift_.assign(h.m, 0.0);
@@ -887,9 +894,11 @@ void OnlineDpa::restore_state(std::span<const std::uint8_t> bytes) {
         read_table(r, t, h.width(), h.n, "OnlineDpa::restore_state"));
   r.expect_end();
   sum_s_ = unspan(s, h);
-  for (std::size_t t = 0; t < tables_.size(); ++t)
+  for (std::size_t t = 0; t < tables_.size(); ++t) {
+    tables_[t].clear_pending(m_, 0, m_);  // under the old geometry
     tables_[t].assign(std::move(tables[t].counts), tables[t].sums, h.m, h.lo,
                       h.hi);
+  }
   ref_ = std::move(h.ref);
   shift_.assign(h.m, 0.0);
   m_ = h.m;
@@ -915,7 +924,10 @@ void OnlineDpa::reset() noexcept {
   n_ = 0;
   lo_ = hi_ = 0;
   std::fill(sum_s_.begin(), sum_s_.end(), 0.0);
-  for (detail::ClassTable& t : tables_) t.reset();
+  for (detail::ClassTable& t : tables_) {
+    t.clear_pending(m_, 0, m_);
+    t.reset();
+  }
   cache_live_ = false;
 }
 

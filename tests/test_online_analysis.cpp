@@ -12,7 +12,8 @@
 //  * a predictor whose plaintext byte lies past the set's plaintext
 //    stride is rejected before any state moves;
 //  * the reference shift: constant samples read exactly 0.0, the live
-//    span, and a span that widens between reads;
+//    span, a span that widens between reads, and pending rows that do
+//    not outlive reset() or restore_state();
 //  * CpaResult/KeyRecoveryResult tie handling (ties rank below; an
 //    exactly-zero score ranks last);
 //  * fused-campaign results == materialized-TraceSet results on two
@@ -243,19 +244,6 @@ void expect_relatively_near(const std::vector<double>& a,
     EXPECT_NEAR(a[i], b[i], rel * std::fabs(b[i])) << "index " << i;
 }
 
-/// A per-sample trace (correlation or bias) within `rel` of the
-/// trace's own scale, max_j |b[j]|: rounding error in a difference of
-/// sums scales with the sums, so a near-zero sample is held to the
-/// trace's absolute precision, not to a relative bound on its residue.
-void expect_trace_near(const std::vector<double>& a,
-                       const std::vector<double>& b, double rel) {
-  ASSERT_EQ(a.size(), b.size());
-  double scale = 0.0;
-  for (double v : b) scale = std::max(scale, std::fabs(v));
-  for (std::size_t i = 0; i < a.size(); ++i)
-    EXPECT_NEAR(a[i], b[i], rel * scale) << "index " << i;
-}
-
 }  // namespace
 
 TEST(OnlineAnalysis, StateIsIndependentOfInterleavedReads) {
@@ -301,8 +289,8 @@ TEST(OnlineAnalysis, ReadEveryEightTracesMatchesOneFinalRead) {
   EXPECT_EQ(a.best_guess, key);
   EXPECT_EQ(b.best_guess, key);
   EXPECT_EQ(a.rank_of(key), b.rank_of(key));
-  expect_trace_near(every8.correlation_trace(key),
-                    once.correlation_trace(key), 1e-12);
+  expect_relatively_near(every8.correlation_trace(key),
+                         once.correlation_trace(key), 1e-12);
 
   const std::vector<qd::SelectionFn> bits = {qd::aes_sbox_selection(0, 0),
                                              qd::aes_sbox_selection(0, 7)};
@@ -318,8 +306,8 @@ TEST(OnlineAnalysis, ReadEveryEightTracesMatchesOneFinalRead) {
   EXPECT_EQ(da.best_guess, key);
   EXPECT_EQ(db.best_guess, key);
   EXPECT_EQ(da.rank_of(key), db.rank_of(key));
-  expect_trace_near(devery8.bias(key, 1).bias, donce.bias(key, 1).bias,
-                    1e-12);
+  expect_relatively_near(devery8.bias(key, 1).bias, donce.bias(key, 1).bias,
+                         1e-12);
 }
 
 TEST(OnlineAnalysis, ClassMapFollowsThePredictors) {
@@ -508,8 +496,8 @@ TEST(OnlineAnalysis, SpanWideningBetweenReadsMatchesOneFinalRead) {
   EXPECT_EQ(b.best_guess, key);
   EXPECT_EQ(a.best_sample, b.best_sample);
   EXPECT_EQ(a.rank_of(key), b.rank_of(key));
-  expect_trace_near(probed.correlation_trace(key), once.correlation_trace(key),
-                    1e-12);
+  expect_relatively_near(probed.correlation_trace(key),
+                         once.correlation_trace(key), 1e-12);
 
   const std::vector<qd::SelectionFn> bits = {qd::aes_sbox_selection(0, 0),
                                              qd::aes_sbox_selection(0, 5)};
@@ -525,7 +513,72 @@ TEST(OnlineAnalysis, SpanWideningBetweenReadsMatchesOneFinalRead) {
   expect_relatively_near(da.guess_peak, db.guess_peak, 1e-12);
   EXPECT_EQ(da.best_guess, db.best_guess);
   EXPECT_EQ(da.rank_of(key), db.rank_of(key));
-  expect_trace_near(dprobed.bias(key, 1).bias, donce.bias(key, 1).bias, 1e-12);
+  expect_relatively_near(dprobed.bias(key, 1).bias, donce.bias(key, 1).bias,
+                         1e-12);
+}
+
+TEST(OnlineAnalysis, PendingRowsDoNotOutliveResetOrRestore) {
+  // `used` leaves pending rows over [3, 20) behind, then is reset (or
+  // restored from a snapshot) and fed a stream whose span starts at
+  // [10, 14) and widens later. Reads must equal, bit for bit, those of
+  // an accumulator that never saw the first stream.
+  const std::uint8_t key = 0x5e;
+  qu::Rng rng(0x66);
+  qd::TraceSet wide, ts;
+  add_spanned(wide, 16, 24, 3, 20, 12, key, rng);
+  add_spanned(ts, 16, 24, 10, 14, 12, key, rng);
+  add_spanned(ts, 48, 24, 3, 20, 12, key, rng);
+  const auto dirty = [&](auto& acc, const auto& read) {
+    acc.add_prefix(wide, 0, 8);
+    read(acc);
+    acc.add_prefix(wide, 8, 16);  // pending, never read
+  };
+  const auto check = [&](auto& used, auto& fresh, const auto& read,
+                         std::size_t first) {
+    for (auto* acc : {&used, &fresh}) {
+      (void)read(*acc);
+      acc->add_prefix(ts, first, ts.size());
+    }
+    EXPECT_EQ(used.span_lo(), 3u);
+    EXPECT_EQ(read(used), read(fresh));
+  };
+  const auto cpa_read = [](const qd::OnlineCpa& a) {
+    return a.finalize().correlation;
+  };
+  const auto dpa_read = [](const qd::OnlineDpa& a) {
+    return a.recover().guess_peak;
+  };
+  const qd::LeakageModel model = qd::aes_sbox_hw_model(0);
+  const std::vector<qd::SelectionFn> bits = {qd::aes_sbox_selection(0, 3)};
+
+  {  // reset
+    qd::OnlineCpa used(model, 256), fresh(model, 256);
+    dirty(used, cpa_read);
+    used.reset();
+    used.add_prefix(ts, 0, 16);
+    fresh.add_prefix(ts, 0, 16);
+    check(used, fresh, cpa_read, 16);
+    qd::OnlineDpa dused(bits, 256), dfresh(bits, 256);
+    dirty(dused, dpa_read);
+    dused.reset();
+    dused.add_prefix(ts, 0, 16);
+    dfresh.add_prefix(ts, 0, 16);
+    check(dused, dfresh, dpa_read, 16);
+  }
+  {  // restore
+    qd::OnlineCpa src(model, 256), used(model, 256), fresh(model, 256);
+    src.add_prefix(ts, 0, 16);
+    dirty(used, cpa_read);
+    used.restore_state(src.serialize_state());
+    fresh.restore_state(src.serialize_state());
+    check(used, fresh, cpa_read, 16);
+    qd::OnlineDpa dsrc(bits, 256), dused(bits, 256), dfresh(bits, 256);
+    dsrc.add_prefix(ts, 0, 16);
+    dirty(dused, dpa_read);
+    dused.restore_state(dsrc.serialize_state());
+    dfresh.restore_state(dsrc.serialize_state());
+    check(dused, dfresh, dpa_read, 16);
+  }
 }
 
 // ---- tie handling ----------------------------------------------------------
