@@ -111,7 +111,8 @@ BENCHMARK(BM_CriterionEvaluation);
 // Campaign acquisition throughput: the batched parallel TraceSource fan-
 // out, per thread count. Bit-identical results across rows (asserted by
 // test_campaign); this measures the wall-clock side of that contract.
-// Runs the default (compiled) engine, end to end including target build.
+// Runs the Campaign default (the 64-lane batch engine: the 64 traces are
+// one block, acquired by one thread), end to end including target build.
 static void BM_CampaignAcquire(benchmark::State& state) {
   const auto threads = static_cast<unsigned>(state.range(0));
   const qdi::campaign::CircuitTarget target = qdi::campaign::xor_stage();
@@ -465,7 +466,8 @@ static void sweep_variant_bench(benchmark::State& state,
   // so the post-transform netlist — and therefore its compiled form —
   // is identical every iteration. Build it once here and hand the
   // shared compiled netlist to each iteration's source; the rows then
-  // measure recipe + campaign throughput, not repeated compilation.
+  // measure recipe + campaign throughput, not repeated compilation (the
+  // Campaign default, the batch engine, still levelizes it per source).
   qdi::campaign::TargetInstance pre = target.build(0x2b);
   recipe().pipeline.run(pre.nl);
   const std::shared_ptr<const qdi::sim::CompiledNetlist> cn =
@@ -475,8 +477,7 @@ static void sweep_variant_bench(benchmark::State& state,
       -> std::unique_ptr<qdi::campaign::TraceSource> {
     qdi::campaign::SimTraceSourceOptions o = opt;
     o.precompiled = cn;
-    return std::make_unique<qdi::campaign::SimTraceSource>(
-        inst.nl, inst.env, inst.stimulus, o);
+    return qdi::campaign::make_sim_source(inst.nl, inst.env, inst.stimulus, o);
   };
   for (auto _ : state) {
     const qdi::campaign::CampaignResult r = qdi::campaign::Campaign()

@@ -2,19 +2,42 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace qdi::campaign {
 
 namespace {
 
+constexpr const char* kOptOut =
+    "; run this victim on the scalar kernel with "
+    "Campaign::engine(sim::EngineKind::Compiled)";
+
+sim::EnvSpec require_strict(sim::EnvSpec env) {
+  if (!env.strict)
+    throw BatchUnsupported(
+        std::string("BatchSimTraceSource: the batch engine (the Campaign "
+                    "default) needs a strict environment, and this one is "
+                    "tolerant (EnvSpec::strict == false)") +
+        kOptOut);
+  return env;
+}
+
 std::shared_ptr<const sim::BatchNetlist> make_batch(
     const netlist::Netlist& nl, const SimTraceSourceOptions& opt) {
   // `precompiled` must have been compiled from this netlist with these
   // delays (the sweep/bench reuse contract); batch-compile validates the
-  // structure either way.
-  if (opt.precompiled) return sim::compile_batch(opt.precompiled);
-  return sim::compile_batch(nl, opt.delays);
+  // structure either way. Its only refusal is a cone that does not
+  // levelize.
+  try {
+    if (opt.precompiled) return sim::compile_batch(opt.precompiled);
+    return sim::compile_batch(nl, opt.delays);
+  } catch (const std::invalid_argument& e) {
+    throw BatchUnsupported(
+        std::string("BatchSimTraceSource: the batch engine (the Campaign "
+                    "default) cannot run this netlist: ") +
+        e.what() + kOptOut);
+  }
 }
 
 }  // namespace
@@ -23,7 +46,7 @@ BatchSimTraceSource::BatchSimTraceSource(const netlist::Netlist& nl,
                                          sim::EnvSpec env, StimulusFn stimulus,
                                          SimTraceSourceOptions opt)
     : nl_(&nl),
-      spec_(std::move(env)),
+      spec_(require_strict(std::move(env))),
       stimulus_(std::move(stimulus)),
       opt_(opt),
       batch_(make_batch(nl, opt_)),
@@ -75,6 +98,7 @@ void BatchSimTraceSource::acquire_block(std::uint64_t seed, std::size_t first,
   // lane l of this block IS trace first+l of the scalar engines.
   double t0[sim::kBatchLanes];
   const std::vector<int>* vals[sim::kBatchLanes];
+  power::PowerTrace* rows[sim::kBatchLanes];
   for (std::size_t l = 0; l < count; ++l) {
     rng_[l] = util::split_stream(seed, first + l);
     stimulus_(rng_[l], first + l, stim_[l]);
@@ -83,12 +107,15 @@ void BatchSimTraceSource::acquire_block(std::uint64_t seed, std::size_t first,
                               : 0.0;
     t0[l] = env_.next_cycle_start(l) - jitter;
     vals[l] = &stim_[l].values;
+    rows[l] = &out[l].trace;
   }
   const std::uint64_t mask = count == sim::kBatchLanes
                                  ? ~std::uint64_t{0}
                                  : ((std::uint64_t{1} << count) - 1);
 
-  acc_.begin_windows(t0, mask, spec_.period_ps);
+  // Each lane bins straight into its result slot.
+  acc_.begin_windows(t0, mask, spec_.period_ps, rows);
+  const std::uint64_t commits_before = sim_.merged_commits();
   sim_.set_power_sink(&acc_);
   try {
     env_.send_into({vals, count}, cyc_);
@@ -100,7 +127,7 @@ void BatchSimTraceSource::acquire_block(std::uint64_t seed, std::size_t first,
 
   for (std::size_t l = 0; l < count; ++l) {
     AcquiredTrace& o = out[l];
-    acc_.finish_into_lane(l, o.trace, &rng_[l]);
+    acc_.finish_lane(l, &rng_[l]);
     // Decoded output channels packed as "ciphertext" bytes, LSB-first,
     // exactly like SimTraceSource.
     o.ciphertext.assign((cyc_.num_outputs + 7) / 8, 0);
@@ -110,8 +137,10 @@ void BatchSimTraceSource::acquire_block(std::uint64_t seed, std::size_t first,
     o.plaintext.assign(stim_[l].plaintext.begin(), stim_[l].plaintext.end());
     o.transitions = cyc_.transitions[l];
     o.glitches = sim_.glitch_count(l);
+    o.merged_commits = 0;
     o.fault_class = -1;
   }
+  out[0].merged_commits = sim_.merged_commits() - commits_before;
 }
 
 }  // namespace qdi::campaign

@@ -161,11 +161,6 @@ void Campaign::validate(const TargetInstance& inst) const {
         "Campaign: target '" + inst.name +
         "' is flow-only; faults() needs a simulatable netlist to inject "
         "into");
-  if (faults_ && opt_.engine == sim::EngineKind::Batch)
-    throw std::invalid_argument(
-        "Campaign: faults() needs a scalar engine — the batch kernel "
-        "cannot inject forces; drop faults() or use engine(Compiled / "
-        "Reference)");
 }
 
 /// Sweep-shared acquisition state: one WorkerPool living across every
@@ -292,11 +287,15 @@ CampaignResult Campaign::run_stages(
   // ---- fault-resilience probe ----------------------------------------------
   // Runs on the as-attacked netlist (post-flow, post-prepare,
   // post-recipe) and must precede the move below — the probe's
-  // simulators point into inst.nl.
+  // simulators point into inst.nl. The batch kernel cannot inject
+  // forces, so a Batch campaign probes on the scalar compiled kernel;
+  // the victim and its traces are the same on every engine.
   if (faults_) {
     FaultCampaignOptions fo = *faults_;
     fo.delays = opt_.delays;
-    fo.engine = opt_.engine;
+    fo.engine = opt_.engine == sim::EngineKind::Batch
+                    ? sim::EngineKind::Compiled
+                    : opt_.engine;
     res.faults =
         run_fault_campaign(inst, key_, fo, seed_, threads_ == 0 ? 1 : threads_);
   }

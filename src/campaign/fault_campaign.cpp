@@ -201,6 +201,7 @@ void FaultTraceSource::acquire_into(const TraceRequest& req,
   pack_outputs(golden_, num_out, out.ciphertext);
   out.plaintext.assign(stim_.plaintext.begin(), stim_.plaintext.end());
   out.transitions = oscillated ? 0 : cyc_.transitions;
+  out.merged_commits = out.transitions;
   out.glitches = sim_->glitch_count();
   out.fault_class = encode_class(cls, phase);
 }

@@ -18,6 +18,7 @@
 #include <array>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 
 #include "qdi/campaign/trace_source.hpp"
 #include "qdi/power/batch_synth.hpp"
@@ -25,12 +26,20 @@
 
 namespace qdi::campaign {
 
+/// The batch kernel cannot run a victim: its netlist has a
+/// combinational cone that does not levelize (see BatchNetlist), or its
+/// environment is tolerant (EnvSpec::strict == false). The message names
+/// the cause and the way out, Campaign::engine(sim::EngineKind::Compiled).
+/// There is deliberately no automatic fallback to a scalar engine.
+class BatchUnsupported : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
 /// TraceSource running sim::BatchSimulator, 64 trace lanes per block.
-/// Construction throws std::invalid_argument when the netlist cannot be
-/// batch-compiled (non-levelizable combinational cone — see
-/// BatchNetlist) and std::invalid_argument via BatchFourPhaseEnv when
-/// the environment is not strict. Options: `engine` must be Batch;
-/// `precompiled` is reused when provided.
+/// Construction throws BatchUnsupported when the netlist cannot be
+/// batch-compiled or the environment is not strict. Options: `engine`
+/// must be Batch; `precompiled` is reused when provided.
 class BatchSimTraceSource final : public TraceSource {
  public:
   BatchSimTraceSource(const netlist::Netlist& nl, sim::EnvSpec env,

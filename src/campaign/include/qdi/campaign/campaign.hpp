@@ -131,6 +131,10 @@ class Campaign {
       std::function<std::unique_ptr<TraceSource>(const TargetInstance&,
                                                  const SimTraceSourceOptions&)>;
 
+  /// Acquisition runs on the 64-lane batch kernel unless engine() picks
+  /// another.
+  Campaign() { opt_.engine = sim::EngineKind::Batch; }
+
   Campaign& target(CircuitTarget t) { target_ = std::move(t); return *this; }
   Campaign& key(std::uint64_t k) { key_ = k; return *this; }
 
@@ -164,13 +168,16 @@ class Campaign {
     return *this;
   }
 
-  /// Simulation engine for the default trace source: the compiled SoA
-  /// kernel (default), the construction-form reference interpreter, or
-  /// the bit-parallel 64-lane batch kernel (Batch builds a
-  /// BatchSimTraceSource — fault-free acquisition only, and the netlist
-  /// must batch-compile; unsupported combinations throw with the
-  /// offending cell/option named instead of silently falling back).
-  /// Traces are bit-identical across all engines
+  /// Simulation engine for the default trace source: the bit-parallel
+  /// 64-lane batch kernel (default — a BatchSimTraceSource acquiring 64
+  /// traces per block), the compiled SoA kernel, or the
+  /// construction-form reference interpreter. The batch kernel needs a
+  /// netlist whose combinational cones levelize and a strict
+  /// environment; a victim without either fails with BatchUnsupported,
+  /// whose message names the cause, instead of silently falling back —
+  /// engine(sim::EngineKind::Compiled) is the opt-out. The faults()
+  /// probe always runs on a scalar engine (Compiled when acquisition
+  /// runs Batch). Traces are bit-identical across all engines
   /// (tests/test_compiled_sim.cpp, tests/test_batch_sim.cpp).
   Campaign& engine(sim::EngineKind k) {
     opt_.engine = k;
@@ -204,9 +211,11 @@ class Campaign {
   /// (site x kind x time) fault injections over the as-attacked netlist
   /// (post-flow, post-prepare, post-recipe) and classify every run as
   /// deadlock / masked / exploitable (see fault_campaign.hpp). The probe
-  /// inherits the campaign's delay model and engine so it exercises
-  /// exactly the simulated victim; results land in CampaignResult::faults
-  /// and in the sweep comparison table.
+  /// inherits the campaign's delay model and scalar engine (the compiled
+  /// kernel when acquisition runs on the batch kernel, which cannot
+  /// inject forces) so it exercises exactly the simulated victim;
+  /// results land in CampaignResult::faults and in the sweep comparison
+  /// table.
   /// Incompatible with source(): the probe injects into the simulated
   /// netlist, which a custom source bypasses — validate() throws.
   Campaign& faults(FaultCampaignOptions opt = {}) {
@@ -215,7 +224,9 @@ class Campaign {
   }
 
   /// Plug a different TraceSource (cache, replay, hardware bench). The
-  /// default builds make_sim_source over the prepared netlist.
+  /// default builds make_sim_source over the prepared netlist. The
+  /// factory receives the campaign's options, whose engine is Batch
+  /// unless engine() chose another; make_sim_source honours any of them.
   Campaign& source(SourceFactory f) { source_ = std::move(f); return *this; }
 
   /// Record the true-key rank every `step` traces (0 = off). Uses the

@@ -54,6 +54,13 @@ struct AcquiredTrace {
   std::vector<std::uint8_t> ciphertext;
   std::size_t transitions = 0;  ///< net transitions in the cycle
   std::size_t glitches = 0;     ///< cancelled events (0 on hazard-free QDI)
+  /// Engine commits of the block this record was acquired in, carried
+  /// by the block's first record (0 on the others), so a sum over
+  /// records counts every block once. A batch commit moves every lane
+  /// that switches the same net at the same time; a scalar commit moves
+  /// one trace, so a scalar record carries its own `transitions`.
+  /// Sources that do not count commits leave it 0.
+  std::size_t merged_commits = 0;
   /// Fault classification when the acquisition was a fault injection
   /// (campaign/fault_campaign.hpp); -1 for ordinary power acquisitions.
   int fault_class = -1;
@@ -123,11 +130,23 @@ struct AcquisitionStats {
   /// Threads that acquired: the caller plus the workers started, at
   /// most one per block of the call.
   unsigned threads_used = 1;
+  /// name() of the source that acquired: "batch-sim" (the 64-lane
+  /// kernel, the Campaign default), "sim-compiled", "sim" (reference
+  /// interpreter), or a custom source's name.
+  std::string engine;
+  /// Engine commits summed per block (AcquiredTrace::merged_commits).
+  std::size_t merged_commits = 0;
+  /// Lanes a commit moved on average: transitions / merged_commits
+  /// (64 = perfect lockstep, 1 on the scalar engines; 0 when the source
+  /// counts no commits). Both totals are sums over the call's blocks,
+  /// and the blocks are fixed by the range and the source's width, so
+  /// the figure does not depend on the thread count.
+  double lane_occupancy = 0.0;
 };
 
 /// Persistent acquisition worker set: `threads - 1` clones of a primary
-/// source plus the scratch ring of result slots, created once and
-/// reused across any number of acquire calls. This is what keeps
+/// source plus the scratch ring of result slots, created on first use
+/// and reused across any number of acquire calls. This is what keeps
 /// per-thread simulators (with their compiled netlist, epoch snapshot,
 /// and scratch buffers) warm across batches instead of re-cloning per
 /// call — the campaign layer owns one pool per run, benches own one per
@@ -138,7 +157,11 @@ struct AcquisitionStats {
 /// is ready. A ring position is refilled only after the consumer has
 /// released it, so acquisition overlaps analysis, at most `threads`
 /// threads are runnable, and the feed order (hence every accumulator
-/// result) is independent of the thread count.
+/// result) is independent of the thread count. The ring holds
+/// kRingBlocksPerThread source blocks per thread (fewer when `chunk`
+/// asks for less): enough for every thread to acquire one block while
+/// the consumer reads another, so its footprint follows the thread
+/// count, not the trace budget.
 ///
 /// Every entry point runs through acquire_segments — the one loop that
 /// fans out, times, and counts; the others only assemble its records
@@ -155,11 +178,17 @@ class WorkerPool {
   using TraceSetFn =
       std::function<void(const dpa::TraceSet& segment, std::size_t first)>;
 
+  /// Ring positions per pool thread, in source blocks. One block per
+  /// thread leaves the calling thread nothing to acquire ahead into
+  /// while it consumes, so it stalls the ring; two keep every thread
+  /// busy.
+  static constexpr std::size_t kRingBlocksPerThread = 2;
+
   /// `src` must outlive the pool. `threads` counts `src` itself.
   WorkerPool(TraceSource& src, unsigned threads);
 
   unsigned threads() const noexcept {
-    return static_cast<unsigned>(worker_clones_) + 1;
+    return static_cast<unsigned>(num_workers_) + 1;
   }
 
   /// Point the pool at a different source, keeping the thread count and
@@ -180,17 +209,19 @@ class WorkerPool {
 
   /// The acquisition loop: traces [first_index, first_index + count) of
   /// campaign `seed`, acquired over the workers in blocks of the
-  /// source's batch_width into a ring of min(chunk, count) slots
-  /// (rounded up to whole blocks), and handed to `consume` one segment
-  /// at a time, in ascending, contiguous index order. A segment is at
-  /// most the ring size and may be shorter: it is whatever run of
-  /// in-order blocks is done when the consumer is free. Record values
+  /// source's batch_width into a ring of R = min(ceil(min(chunk, count)
+  /// / width), kRingBlocksPerThread * threads()) blocks, and handed to
+  /// `consume` one segment at a time, in ascending, contiguous index
+  /// order. Block k is not claimed before the consumer has released
+  /// block k - R. A segment is at most the ring size and may be
+  /// shorter: it is whatever run of in-order blocks is done when the
+  /// consumer is free. Record values
   /// are bit-identical for any thread count, chunk size, or range
   /// partition (the determinism contract above). A throw from `consume`
   /// or from a source is rethrown once every worker has joined. `stats`
   /// counts every trace and times the whole call, consume() included;
   /// `threads_used` counts the threads started (never more than there
-  /// are blocks).
+  /// are blocks); `engine` and `lane_occupancy` describe the source.
   void acquire_segments(std::size_t first_index, std::size_t count,
                         std::uint64_t seed, std::size_t chunk,
                         const SegmentFn& consume,
@@ -207,7 +238,7 @@ class WorkerPool {
   /// kept); consumers must copy anything they keep. Each segment is one
   /// source block: batch_width() traces, fewer only for the last block
   /// of the range, so the segment sizes (and the buffer's footprint)
-  /// do not depend on timing; `chunk` sets the ring, i.e. how far the
+  /// do not depend on timing; `chunk` caps the ring, i.e. how far the
   /// workers may acquire ahead of the consumer (see acquire_segments).
   /// Trace values are bit-identical to acquire() for any thread count
   /// and chunk size.
@@ -226,7 +257,9 @@ class WorkerPool {
 
  private:
   TraceSource* src_;
-  std::size_t worker_clones_ = 0;  ///< clone count restored by rebind()
+  std::size_t num_workers_ = 0;  ///< threads() - 1
+  /// Worker clones of src_, made when a call first starts that many
+  /// workers; rebind() and unbind() drop them.
   std::vector<std::unique_ptr<TraceSource>> clones_;
   /// The ring of reused result slots: slot buffers (samples, plaintext,
   /// ciphertext) retain capacity across segments and across acquire
@@ -245,15 +278,18 @@ struct SimTraceSourceOptions {
   /// Acquisition-window start jitter in [0, start_jitter_ps): the
   /// attacker's missing-trigger problem on clockless circuits.
   double start_jitter_ps = 0.0;
-  /// Execution engine. Compiled (default): the netlist is flattened once
-  /// per source into a CompiledNetlist shared by all worker clones, power
-  /// samples stream into the accumulator at commit time (no transition
-  /// log), and after the first trace each epoch restores the post-reset
-  /// snapshot instead of re-simulating reset. Reference: the
-  /// construction-form interpreter with a post-hoc log walk. Batch: the
-  /// 64-lane bit-parallel kernel — handled by BatchSimTraceSource, which
-  /// Campaign::engine(Batch) builds; constructing a SimTraceSource with
-  /// it throws. All engines produce bit-identical traces.
+  /// Execution engine. Compiled (this struct's default, the scalar
+  /// kernel): the netlist is flattened once per source into a
+  /// CompiledNetlist shared by all worker clones, power samples stream
+  /// into the accumulator at commit time (no transition log), and after
+  /// the first trace each epoch restores the post-reset snapshot
+  /// instead of re-simulating reset. Reference: the construction-form
+  /// interpreter with a post-hoc log walk. Batch: the 64-lane
+  /// bit-parallel kernel — handled by BatchSimTraceSource, which
+  /// make_sim_source builds; constructing a SimTraceSource with it
+  /// throws. A Campaign sets Batch unless told otherwise
+  /// (Campaign::engine), so a custom source() factory receives Batch by
+  /// default. All engines produce bit-identical traces.
   sim::EngineKind engine = sim::EngineKind::Compiled;
   /// Reuse an existing compiled form instead of flattening the netlist
   /// again (benches and sweeps that build several sources over one

@@ -145,6 +145,7 @@ void SimTraceSource::acquire_into(const TraceRequest& req, AcquiredTrace& out) {
   // survive into the next trace.
   out.plaintext.assign(stim_.plaintext.begin(), stim_.plaintext.end());
   out.transitions = cyc_.transitions;
+  out.merged_commits = cyc_.transitions;  // one trace per scalar commit
   out.glitches = sim_->glitch_count();
 }
 
@@ -152,16 +153,12 @@ void SimTraceSource::acquire_into(const TraceRequest& req, AcquiredTrace& out) {
 
 WorkerPool::WorkerPool(TraceSource& src, unsigned threads) : src_(&src) {
   if (threads == 0) threads = 1;
-  worker_clones_ = threads - 1;
-  clones_.reserve(worker_clones_);
-  for (unsigned w = 1; w < threads; ++w) clones_.push_back(src.clone());
+  num_workers_ = threads - 1;
 }
 
 void WorkerPool::rebind(TraceSource& src) {
   clones_.clear();
   src_ = &src;
-  for (std::size_t w = 0; w < worker_clones_; ++w)
-    clones_.push_back(src.clone());
 }
 
 void WorkerPool::unbind() noexcept {
@@ -172,8 +169,9 @@ void WorkerPool::unbind() noexcept {
 /// The ordered pipeline behind every entry point. Trace indices are cut
 /// into blocks of the source's batch_width (1 for scalar sources, 64
 /// for the batch engine; the last block may be partial), and block k
-/// lands in ring position k mod R of scratch_, where R whole blocks
-/// cover min(chunk, count) traces. The `threads - 1` clone threads are
+/// lands in ring position k mod R of scratch_, where R is the number of
+/// whole blocks covering min(chunk, count) traces, capped at
+/// kRingBlocksPerThread per pool thread. The worker threads are
 /// started once per call and claim blocks in index order; block k is
 /// claimable only once the consumer has released block k - R, so no
 /// slot is rewritten while consume() reads it. The calling thread loops
@@ -190,7 +188,9 @@ void WorkerPool::acquire_segments(std::size_t first_index, std::size_t count,
   if (chunk == 0) chunk = 1;
   const std::size_t width = std::max<std::size_t>(src_->batch_width(), 1);
   const std::size_t num_blocks = (count + width - 1) / width;
-  const std::size_t ring = (std::min(chunk, count) + width - 1) / width;
+  const std::size_t ring =
+      std::min((std::min(chunk, count) + width - 1) / width,
+               kRingBlocksPerThread * threads());
   if (scratch_.size() < ring * width) scratch_.resize(ring * width);
 
   // Ring state, all guarded by `mu`. done[p] marks ring position p as
@@ -239,9 +239,13 @@ void WorkerPool::acquire_segments(std::size_t first_index, std::size_t count,
 
   // Only threads that can get a block are started; the caller is one.
   const std::size_t spawned =
-      std::min(clones_.size(), num_blocks > 0 ? num_blocks - 1 : 0);
+      std::min(num_workers_, num_blocks > 0 ? num_blocks - 1 : 0);
+  // Clones are made on first use, so a call too short to spread (a
+  // single block) never pays for them.
+  while (clones_.size() < spawned) clones_.push_back(src_->clone());
   AcquisitionStats st;
   st.threads_used = static_cast<unsigned>(spawned) + 1;
+  st.engine = src_->name();
   std::vector<std::thread> pool;
   // Runs on every exit, a throw from consume() or from the caller's own
   // acquire_block() included: the workers stop at their next claim.
@@ -273,6 +277,7 @@ void WorkerPool::acquire_segments(std::size_t first_index, std::size_t count,
         for (const AcquiredTrace& a : records) {
           st.transitions += a.transitions;
           st.glitches += a.glitches;
+          st.merged_commits += a.merged_commits;
         }
         consume(records, first_index + lo);
         lock.lock();
@@ -301,6 +306,10 @@ void WorkerPool::acquire_segments(std::size_t first_index, std::size_t count,
                    .count();
   st.traces_per_s =
       st.wall_ms > 0.0 ? 1e3 * static_cast<double>(count) / st.wall_ms : 0.0;
+  st.lane_occupancy = st.merged_commits > 0
+                          ? static_cast<double>(st.transitions) /
+                                static_cast<double>(st.merged_commits)
+                          : 0.0;
   if (stats) *stats = std::move(st);
 }
 

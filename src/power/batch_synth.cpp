@@ -43,16 +43,9 @@ BatchAccumulator::BatchAccumulator(PowerModelParams params,
 }
 
 void BatchAccumulator::begin_windows(const double* t0_ps, std::uint64_t mask,
-                                     double window_ps) {
+                                     double window_ps, PowerTrace* const* dst) {
   const double dt = params_.sample_period_ps;
-  const std::size_t n = static_cast<std::size_t>(std::ceil(window_ps / dt));
-  if (n != n_ || rows_.size() != sim::kBatchLanes * n) {
-    n_ = n;
-    rows_.assign(sim::kBatchLanes * n_, 0.0);
-    std::fill(std::begin(j_min_), std::end(j_min_), n_);
-    std::fill(std::begin(j_max_), std::end(j_max_), std::size_t{0});
-  }
-  window_ps_ = window_ps;
+  n_ = static_cast<std::size_t>(std::ceil(window_ps / dt));
   aligned_ = true;
   double shared_t0 = 0.0;
   bool first = true;
@@ -62,13 +55,8 @@ void BatchAccumulator::begin_windows(const double* t0_ps, std::uint64_t mask,
     m &= m - 1;
     t0_[lane] = t0_ps[lane];
     t_end_[lane] = t0_ps[lane] + window_ps;
-    // Only the previously touched bins are dirty.
-    if (j_min_[lane] < j_max_[lane])
-      std::fill(rows_.begin() + static_cast<std::ptrdiff_t>(lane * n_ +
-                                                            j_min_[lane]),
-                rows_.begin() + static_cast<std::ptrdiff_t>(lane * n_ +
-                                                            j_max_[lane]),
-                0.0);
+    dst[lane]->reset(t0_ps[lane], dt, n_);
+    rows_[lane] = dst[lane]->samples().data();
     j_min_[lane] = n_;
     j_max_[lane] = 0;
     if (first) {
@@ -137,7 +125,7 @@ void BatchAccumulator::on_batch_transition(double t_ps, std::uint32_t net,
       while (m != 0) {
         const unsigned lane = static_cast<unsigned>(std::countr_zero(m));
         m &= m - 1;
-        double* row = rows_.data() + lane * n_ + lo;
+        double* row = rows_[lane] + lo;
         for (std::size_t k = 0; k < nb; ++k) row[k] += ad[k];
         j_min_[lane] = std::min(j_min_[lane], lo);
         j_max_[lane] = std::max(j_max_[lane], hi);
@@ -176,7 +164,7 @@ void BatchAccumulator::on_batch_transition(double t_ps, std::uint32_t net,
     const std::size_t j_hi = std::min(
         n_,
         static_cast<std::size_t>(std::ceil((start + width - t0) / dt)) + 1);
-    double* row = rows_.data() + lane * n_;
+    double* row = rows_[lane];
     double cdf_lo = triangle_cdf(
         (t0 + static_cast<double>(j_lo) * dt - start) * inv_width);
     for (std::size_t j = j_lo; j < j_hi; ++j) {
@@ -191,22 +179,15 @@ void BatchAccumulator::on_batch_transition(double t_ps, std::uint32_t net,
   }
 }
 
-void BatchAccumulator::finish_into_lane(std::size_t lane, PowerTrace& dst,
-                                        util::Rng* noise) const {
-  // Single pass over the n_ samples: zeros outside the touched range,
-  // scaled row values inside (reset() would memset the whole buffer
-  // first and then overwrite the touched part again).
-  dst.reset_geometry(t0_[lane], params_.sample_period_ps, n_);
-  const double* row = rows_.data() + lane * n_;
-  const std::size_t lo = std::min(j_min_[lane], n_);
+void BatchAccumulator::finish_lane(std::size_t lane, util::Rng* noise) {
+  // Untouched bins are still the +0.0 of begin_windows, which scaling
+  // would leave as they are.
+  double* row = rows_[lane];
   const std::size_t hi = std::min(j_max_[lane], n_);
-  double* out = dst.samples().data();
-  std::fill(out, out + lo, 0.0);
-  for (std::size_t j = lo; j < hi; ++j) out[j] = row[j] * 1000.0;
-  std::fill(out + std::max(lo, hi), out + n_, 0.0);
+  for (std::size_t j = j_min_[lane]; j < hi; ++j) row[j] *= 1000.0;
   if (noise != nullptr && params_.noise_sigma_ua > 0.0) {
     for (std::size_t j = 0; j < n_; ++j)
-      dst[j] += noise->gaussian(0.0, params_.noise_sigma_ua);
+      row[j] += noise->gaussian(0.0, params_.noise_sigma_ua);
   }
 }
 

@@ -1,9 +1,11 @@
 // BatchAccumulator — the 64-lane form of StreamingAccumulator.
 //
 // The batch kernel commits one merged (t, net) event for up to 64 lanes
-// at once; this sink bins each lane's triangular charge pulse into that
-// lane's sample row. Bit-identity with the scalar accumulator is the
-// whole point, and it falls out of three facts:
+// at once; this sink bins each lane's triangular charge pulse straight
+// into that lane's destination trace (the caller's result slot), so a
+// worker holds no 64-row staging matrix and no trace is copied out.
+// Bit-identity with the scalar accumulator is the whole point, and it
+// falls out of three facts:
 //
 //   * per-net charge scale is static: q = weight · C_total(net) · Vdd
 //     and scale = q / dt depend only on the net and the edge direction,
@@ -39,39 +41,38 @@ class BatchAccumulator final : public sim::BatchPowerSink {
   const PowerModelParams& params() const noexcept { return params_; }
 
   /// Open per-lane windows [t0_ps[l], t0_ps[l] + window_ps) for the
-  /// lanes of `mask`. All windows share the sample count
-  /// ceil(window_ps / dt); their starts may differ (acquisition jitter).
+  /// lanes of `mask`, binning into `dst[l]`: each is reset to an
+  /// all-zero trace of its lane's window (capacity kept). All windows
+  /// share the sample count ceil(window_ps / dt); their starts may
+  /// differ (acquisition jitter). The traces must stay alive and
+  /// unresized until finish_lane.
   void begin_windows(const double* t0_ps, std::uint64_t mask,
-                     double window_ps);
+                     double window_ps, PowerTrace* const* dst);
 
   void on_batch_transition(double t_ps, std::uint32_t net,
                            std::uint64_t live, std::uint64_t rising,
                            double slew_ps) override;
 
-  /// Scale lane `lane`'s row to µA into `dst` (geometry reset to that
-  /// lane's window) and add per-sample Gaussian noise from `noise` —
-  /// the per-lane twin of StreamingAccumulator::finish_into. The row is
-  /// left behind (it is cleared by the next begin_windows).
-  void finish_into_lane(std::size_t lane, PowerTrace& dst,
-                        util::Rng* noise = nullptr) const;
+  /// Scale lane `lane`'s trace to µA in place and add per-sample
+  /// Gaussian noise from `noise` — the per-lane twin of
+  /// StreamingAccumulator::finish_into.
+  void finish_lane(std::size_t lane, util::Rng* noise = nullptr);
 
  private:
   PowerModelParams params_;
   std::vector<double> scale_rise_;  ///< per net: q_rise / dt (0 skips)
   std::vector<double> scale_fall_;  ///< per net: q_fall / dt
-  std::vector<double> rows_;        ///< lane-major: rows_[lane * n_ + j]
+  double* rows_[sim::kBatchLanes] = {};  ///< per lane: its dst samples
   /// Shared addend table of the aligned path: scale * frac per bin,
   /// built once per edge direction and replayed by every live lane.
   std::vector<double> frac_;
   double t0_[sim::kBatchLanes] = {};
   double t_end_[sim::kBatchLanes] = {};
   // Touched-bin range per lane: activity usually covers a fraction of
-  // the window, so begin_windows re-zeroes and finish_into_lane reads
-  // only [j_min, j_max) instead of sweeping all n_ bins.
+  // the window, so finish_lane scales only [j_min, j_max).
   std::size_t j_min_[sim::kBatchLanes] = {};
   std::size_t j_max_[sim::kBatchLanes] = {};
   std::size_t n_ = 0;
-  double window_ps_ = 0.0;
   bool aligned_ = true;  ///< all open windows share t0 (jitter == 0)
 };
 

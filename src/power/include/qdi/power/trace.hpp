@@ -58,16 +58,6 @@ class PowerTrace {
     samples_.assign(num_samples, 0.0);
   }
 
-  /// reset() minus the zero fill: the geometry is set and the buffer
-  /// sized, but retained samples keep their old values. For producers
-  /// that overwrite every sample in a single pass (the batch finish
-  /// path) — the caller owns making the contents well-defined.
-  void reset_geometry(double t0_ps, double dt_ps, std::size_t num_samples) {
-    t0_ = t0_ps;
-    dt_ = dt_ps;
-    samples_.resize(num_samples);
-  }
-
   double t0_ps() const noexcept { return t0_; }
   double dt_ps() const noexcept { return dt_; }
   std::size_t size() const noexcept { return samples_.size(); }

@@ -1,6 +1,5 @@
 #include "qdi/sim/batch_netlist.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -36,10 +35,10 @@ BatchNetlist::BatchNetlist(std::shared_ptr<const CompiledNetlist> cn)
     if (!c.driven_by_input[net] && driver[net] != num_cells)
       net_slew_ps_[net] = c.slew_ps[driver[net]];
 
-  // Kahn levelization of the combinational subgraph. Edges run between
-  // combinational cells only: Muller latches, environment-driven nets,
-  // and undriven nets all count as level-0 cut points.
-  level_.assign(num_cells, 0);
+  // Kahn's algorithm over the combinational subgraph: a cell left
+  // unprocessed sits on a cycle. Edges run between combinational cells
+  // only: Muller latches, environment-driven nets, and undriven nets
+  // all count as cut points.
   std::vector<std::uint32_t> indegree(num_cells, 0);
   std::vector<std::uint32_t> worklist;
   std::size_t comb_cells = 0;
@@ -61,15 +60,6 @@ BatchNetlist::BatchNetlist(std::shared_ptr<const CompiledNetlist> cn)
     const std::uint32_t cell = worklist.back();
     worklist.pop_back();
     ++processed;
-    std::uint32_t lvl = 0;
-    for (std::uint32_t i = c.fanin_offset[cell]; i < c.fanin_offset[cell + 1];
-         ++i) {
-      const std::uint32_t d = driver[c.fanin_net[i]];
-      if (d != num_cells && combinational(c.kind[d]))
-        lvl = std::max(lvl, level_[d] + 1);
-    }
-    level_[cell] = lvl;
-    num_levels_ = std::max(num_levels_, lvl + 1);
     const std::uint32_t out = c.output[cell];
     if (out == kNoNet) continue;
     for (std::uint32_t i = c.fanout_offset[out]; i < c.fanout_offset[out + 1];

@@ -7,8 +7,7 @@
 //   * every combinational cone between handshake latches levelizes —
 //     i.e. the subgraph of non-Muller gates is acyclic. Muller
 //     C-elements (the QDI latches) and environment-driven nets are the
-//     cut points at level 0; each combinational cell gets the
-//     topological depth of its cone. A cone that cannot be levelized
+//     cut points. A cone that cannot be levelized
 //     (e.g. a cross-coupled NAND latch smuggled in as "combinational"
 //     cells) would make word-parallel evaluation order-sensitive, so
 //     batch compilation REFUSES it with an error naming the offending
@@ -43,12 +42,6 @@ class BatchNetlist {
     return cn_;
   }
 
-  /// Topological depth per cell inside its combinational cone. Muller
-  /// cells and pseudo-cells are cut points at level 0; a combinational
-  /// cell is 1 + max(level of its combinational fanin drivers).
-  const std::vector<std::uint32_t>& level() const noexcept { return level_; }
-  std::uint32_t num_levels() const noexcept { return num_levels_; }
-
   /// Static slew per net: 0 for environment-driven nets, the driver
   /// cell's precomputed slew otherwise.
   const std::vector<double>& net_slew_ps() const noexcept {
@@ -57,8 +50,6 @@ class BatchNetlist {
 
  private:
   std::shared_ptr<const CompiledNetlist> cn_;
-  std::vector<std::uint32_t> level_;
-  std::uint32_t num_levels_ = 0;
   std::vector<double> net_slew_ps_;
 };
 

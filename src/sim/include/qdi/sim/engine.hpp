@@ -24,13 +24,16 @@ namespace qdi::sim {
 
 /// Which engine a simulation-backed trace source should run.
 enum class EngineKind {
-  Compiled,   ///< flattened SoA kernel (default)
+  /// Flattened SoA scalar kernel: SimTraceSourceOptions' default, the
+  /// fault sweeps' engine, and a Campaign's opt-out from Batch.
+  Compiled,
   Reference,  ///< construction-form interpreter
   /// Bit-parallel 64-lane kernel (sim::BatchSimulator): fault-free power
-  /// acquisition only. Campaign::engine(Batch) builds a
-  /// campaign::BatchSimTraceSource; combinations the kernel cannot honor
-  /// (fault injection, non-levelizable netlists) throw instead of
-  /// silently falling back to a scalar engine.
+  /// acquisition only, and what a Campaign acquires with by default
+  /// (campaign::BatchSimTraceSource). Victims the kernel cannot run
+  /// (non-levelizable netlists, tolerant environments) throw instead of
+  /// silently falling back to a scalar engine; a Campaign's fault probe
+  /// runs on Compiled.
   Batch,
 };
 

@@ -52,6 +52,14 @@ class TimeWheel {
   bool empty() const noexcept { return size_ == 0; }
   std::uint64_t num_buckets() const noexcept { return num_buckets_; }
 
+  /// Keys the wheel's buffers have room for: its memory footprint in
+  /// units of sizeof(Key).
+  std::size_t reserved_keys() const noexcept {
+    std::size_t n = ready_.capacity() + overflow_.capacity();
+    for (const std::vector<Key>& b : buckets_) n += b.capacity();
+    return n;
+  }
+
   void push(const Key& k) {
     ++size_;
     const std::uint64_t tick = tick_of(k.t_ps);
@@ -219,9 +227,19 @@ class TimeWheel {
 
   /// Common-case refill: the next occupied bucket holds exactly one
   /// tick's keys (true in all normal operation — multi-lap residents
-  /// require a backward re-anchor), so the whole bucket becomes the
-  /// ready batch by swap. Returns false without extracting anything on
-  /// the cold cases.
+  /// require a backward re-anchor), so the whole bucket is copied into
+  /// the ready batch. Returns false without extracting anything on the
+  /// cold cases.
+  ///
+  /// A copy, not a swap: ready_ keeps every key served in its tick
+  /// until the next refill, popped ones included, so keys scheduled into
+  /// the tick being served (delay < width) grow it to the busiest
+  /// tick's whole event count — thousands of keys on a 64-lane batch
+  /// kernel whose lanes have drifted apart. A swap would hand that
+  /// capacity to a bucket, and over time to every bucket (MBs per
+  /// worker). Copying keeps the large capacity in ready_ alone and each
+  /// bucket at its own peak of queued keys, with no reallocation once
+  /// those peaks are reached; the copy is cheap next to the sort.
   bool fast_refill() {
     const std::uint64_t s = cur_tick_ & bucket_mask_;
     const std::uint64_t b = find_next_occupied(s);
@@ -230,7 +248,8 @@ class TimeWheel {
     std::vector<Key>& bucket = buckets_[b];
     for (const Key& k : bucket)
       if (tick_of(k.t_ps) != tick) return false;  // multi-lap: cold path
-    std::swap(ready_, bucket);  // bucket inherits the old ready_ capacity
+    ready_.assign(bucket.begin(), bucket.end());
+    bucket.clear();
     clear_occupied(b);
     wheel_count_ -= ready_.size();
     cur_tick_ = tick;
@@ -305,7 +324,7 @@ class TimeWheel {
 
   // buckets_[tick & bucket_mask_] holds the keys of absolute tick `tick`
   // (and, after a backward re-anchor, possibly of later laps —
-  // extraction checks the exact tick and swaps the whole bucket in the
+  // extraction checks the exact tick and copies the whole bucket in the
   // common single-lap case). ready_ is the sorted batch of the tick
   // being served, from ready_pos_ on; overflow_ is the far-list heap.
   std::vector<std::vector<Key>> buckets_;

@@ -8,7 +8,8 @@
 // count. These tests pin that over every simulatable registry target,
 // plus the explicit refusals for the combinations the batch kernel does
 // not support (fault injection, flow-only targets, non-levelizable
-// netlists, tolerant handshakes).
+// netlists, tolerant handshakes). The batch kernel is what a Campaign
+// acquires with by default, so its refusals name the opt-out.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -189,7 +190,91 @@ TEST(BatchKernel, LockstepOccupancyIsHighOnRegistryTargets) {
   EXPECT_GT(src.mean_lane_occupancy(), 4.0);
 }
 
+TEST(BatchKernel, CampaignLaneOccupancyIsIndependentOfTheThreadCount) {
+  // Commits are counted per 64-lane block, and the blocks are fixed by
+  // the trace range, so one thread and four (fused or not) report the
+  // same totals. The scalar kernel moves one trace per commit.
+  const auto campaign = [](unsigned threads) {
+    qc::Campaign c;
+    c.target(qc::des_round()).key(0x2b).seed(9).traces(300).threads(threads);
+    return c;
+  };
+  const qc::AcquisitionStats one = campaign(1).run().acquisition;
+  const qc::AcquisitionStats four =
+      campaign(4).attack(qc::Cpa{}).fused(64).run().acquisition;
+  EXPECT_EQ(one.engine, "batch-sim");
+  EXPECT_EQ(four.engine, "batch-sim");
+  EXPECT_EQ(four.threads_used, 4u);
+  EXPECT_GT(one.merged_commits, 0u);
+  EXPECT_EQ(one.transitions, four.transitions);
+  EXPECT_EQ(one.merged_commits, four.merged_commits);
+  EXPECT_EQ(one.lane_occupancy, four.lane_occupancy);
+  EXPECT_GT(one.lane_occupancy, 4.0);
+  EXPECT_LE(one.lane_occupancy, 64.0);
+
+  const qc::AcquisitionStats scalar =
+      campaign(4).engine(qs::EngineKind::Compiled).run().acquisition;
+  EXPECT_EQ(scalar.engine, "sim-compiled");
+  EXPECT_EQ(scalar.transitions, one.transitions);
+  EXPECT_EQ(scalar.merged_commits, scalar.transitions);
+  EXPECT_EQ(scalar.lane_occupancy, 1.0);
+}
+
 // ---- guard rails: unsupported combinations throw ---------------------------
+
+TEST(BatchGuards, DefaultEngineRefusesANonLevelizableVictimNamingTheOptOut) {
+  // xor_stage plus a cross-coupled NAND latch on two inputs the
+  // environment never drives: the scalar kernels simulate it (the latch
+  // settles at reset), the batch kernel cannot levelize it. The
+  // campaign default must refuse it by name, with no silent fallback.
+  qc::TargetInstance inst = qc::xor_stage().build(0);
+  const qn::NetId s = inst.nl.add_input("latch_s");
+  const qn::NetId r = inst.nl.add_input("latch_r");
+  const qn::NetId q = inst.nl.add_net("latch_q");
+  const qn::NetId qb = inst.nl.add_net("latch_qb");
+  inst.nl.add_cell(qn::CellKind::Nand2, "nand_q", {s, qb}, q);
+  inst.nl.add_cell(qn::CellKind::Nand2, "nand_qb", {r, q}, qb);
+  const qc::CircuitTarget target = qc::prebuilt(std::move(inst));
+  try {
+    qc::Campaign().target(target).traces(8).run();
+    FAIL() << "the batch engine accepted a combinational cycle";
+  } catch (const qc::BatchUnsupported& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("nand_q"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("engine(sim::EngineKind::Compiled)"),
+              std::string::npos)
+        << msg;
+  }
+  const qc::CampaignResult r_compiled = qc::Campaign()
+                                            .target(target)
+                                            .traces(8)
+                                            .engine(qs::EngineKind::Compiled)
+                                            .run();
+  EXPECT_EQ(r_compiled.traces.size(), 8u);
+  EXPECT_EQ(r_compiled.acquisition.engine, "sim-compiled");
+}
+
+TEST(BatchGuards, DefaultEngineRefusesATolerantEnvironmentNamingTheOptOut) {
+  qc::TargetInstance inst = qc::xor_stage().build(0);
+  inst.env.strict = false;
+  const qc::CircuitTarget target = qc::prebuilt(std::move(inst));
+  try {
+    qc::Campaign().target(target).traces(8).run();
+    FAIL() << "the batch engine accepted a tolerant environment";
+  } catch (const qc::BatchUnsupported& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("strict"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("engine(sim::EngineKind::Compiled)"),
+              std::string::npos)
+        << msg;
+  }
+  const qc::CampaignResult r_compiled = qc::Campaign()
+                                            .target(target)
+                                            .traces(8)
+                                            .engine(qs::EngineKind::Compiled)
+                                            .run();
+  EXPECT_EQ(r_compiled.traces.size(), 8u);
+}
 
 TEST(BatchGuards, FlowOnlyTargetIsRejectedByValidate) {
   // A flow-only victim (explicitly opted out of simulation — aes_core
@@ -249,15 +334,30 @@ TEST(BatchGuards, FaultCampaignRejectsBatchEngine) {
   const qc::TargetInstance inst = qc::des_sbox_slice().build(0x15);
   EXPECT_THROW(qc::run_fault_campaign(inst, 0x15, opt, 1, 1),
                std::invalid_argument);
-  // The campaign front end rejects the combination up front too.
-  EXPECT_THROW(qc::Campaign()
-                   .target(qc::des_sbox_slice())
-                   .key(0x15)
-                   .traces(8)
-                   .engine(qs::EngineKind::Batch)
-                   .faults(qc::FaultCampaignOptions{})
-                   .run(),
-               std::invalid_argument);
+  // A Campaign acquires on the batch kernel and runs its faults() probe
+  // on the scalar compiled kernel: the same classification as a
+  // campaign that is compiled throughout.
+  const auto run = [](qs::EngineKind engine) {
+    return qc::Campaign()
+        .target(qc::des_sbox_slice())
+        .key(0x15)
+        .traces(8)
+        .engine(engine)
+        .faults(qc::FaultCampaignOptions{})
+        .run();
+  };
+  const qc::CampaignResult batch = run(qs::EngineKind::Batch);
+  const qc::CampaignResult compiled = run(qs::EngineKind::Compiled);
+  EXPECT_EQ(batch.acquisition.engine, "batch-sim");
+  EXPECT_EQ(compiled.acquisition.engine, "sim-compiled");
+  ASSERT_TRUE(batch.faults.has_value());
+  ASSERT_TRUE(compiled.faults.has_value());
+  EXPECT_GT(batch.faults->summary.runs, 0u);
+  EXPECT_EQ(batch.faults->summary.runs, compiled.faults->summary.runs);
+  EXPECT_EQ(batch.faults->summary.deadlock, compiled.faults->summary.deadlock);
+  EXPECT_EQ(batch.faults->summary.masked, compiled.faults->summary.masked);
+  EXPECT_EQ(batch.faults->summary.exploitable,
+            compiled.faults->summary.exploitable);
 }
 
 TEST(BatchGuards, ScalarSourceRejectsBatchEngineKind) {

@@ -164,12 +164,14 @@ TEST(CampaignRng, DomainTagSeparatesFaultAndAcquisitionStreams) {
 // ---- acquisition determinism -----------------------------------------------
 
 TEST(CampaignAcquisition, MultiThreadedTracesAreBitIdentical) {
+  // 256 traces are four 64-lane blocks of the default batch engine, so
+  // every one of four threads gets one.
   const auto run = [](unsigned threads) {
     return qc::Campaign()
         .target(qc::des_sbox_slice())
         .key(0x2b)
         .seed(5)
-        .traces(24)
+        .traces(256)
         .threads(threads)
         .run();
   };
@@ -209,7 +211,8 @@ TEST(CampaignAcquisition, NoiseAndJitterStayDeterministicAcrossThreads) {
 }
 
 TEST(CampaignAcquisition, FusedStageClocksCoverTheOverlappedStage) {
-  const std::size_t n = 96;
+  // Four 64-lane blocks: one for each of the four threads.
+  const std::size_t n = 256;
   const qc::CampaignResult r = qc::Campaign()
                                    .target(qc::des_sbox_slice())
                                    .key(0x2b)

@@ -5,6 +5,9 @@
 //
 //  * materialized, fused and sharded campaigns (the sharded MTD probes
 //    after each shard merge, so the MTD grid here is the shard size),
+//  * the default acquisition engine (the 64-lane batch kernel) and
+//    engine(Compiled), which must also agree on every trace and every
+//    shard stream digest,
 //  * 1 and 4 acquisition threads,
 //  * the portable and the AVX2 kernel arm (the materialized traces are
 //    replayed through accumulators pinned to each arm, with the probe
@@ -52,10 +55,12 @@ Outcome of(const qc::AttackOutcome& a) {
   return {a.best_guess, a.true_key_rank, a.mtd};
 }
 
-qc::Campaign campaign(const std::string& target, bool dpa, unsigned threads) {
+qc::Campaign campaign(const std::string& target, bool dpa, unsigned threads,
+                      bool compiled) {
   qc::Campaign c;
   c.target(qc::find_target(target)).key(kKey).seed(3).traces(kTraces)
       .threads(threads);
+  if (compiled) c.engine(qdi::sim::EngineKind::Compiled);
   if (dpa) {
     qc::Dpa cfg;
     cfg.compute_mtd = true;
@@ -104,6 +109,17 @@ Outcome replay(const qd::TraceSet& ts, const qc::TargetInstance& inst,
   return out;
 }
 
+bool same_traces(const qd::TraceSet& a, const qd::TraceSet& b) {
+  if (a.size() != b.size() || a.num_samples() != b.num_samples())
+    return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (std::memcmp(a.matrix().row(i).data(), b.matrix().row(i).data(),
+                    a.num_samples() * sizeof(double)) != 0 ||
+        !std::ranges::equal(a.plaintext(i), b.plaintext(i)))
+      return false;
+  return true;
+}
+
 bool all_traces_identical(const qd::TraceSet& ts) {
   const std::size_t bytes = ts.num_samples() * sizeof(double);
   for (std::size_t i = 1; i < ts.size(); ++i)
@@ -131,34 +147,51 @@ TEST(DiscreteOutcomes, AgreeAcrossPathsThreadsAndArmsOnEveryTarget) {
     bool identical = false;
     for (const bool dpa : {true, false}) {
       SCOPED_TRACE(name + (dpa ? " DPA" : " CPA"));
-      const qc::CampaignResult ref = campaign(name, dpa, 1).run();
+      std::vector<std::string> want_digests;
+      const qc::CampaignResult ref = campaign(name, dpa, 1, false).run();
       ASSERT_TRUE(ref.attack.has_value());
+      EXPECT_EQ(ref.acquisition.engine, "batch-sim");
       const Outcome want = of(*ref.attack);
       identical = all_traces_identical(ref.traces);
 
-      for (const unsigned threads : {1u, 4u}) {
-        SCOPED_TRACE(std::to_string(threads) + " threads");
-        if (threads != 1)
-          EXPECT_EQ(of(*campaign(name, dpa, threads).run().attack), want)
-              << "materialized";
-        EXPECT_EQ(of(*campaign(name, dpa, threads).fused(40).run().attack),
-                  want)
-            << "fused";
-        const std::filesystem::path dir =
-            std::filesystem::temp_directory_path() /
-            ("qdi_outcomes_" + name + std::to_string(threads));
-        std::filesystem::remove_all(dir);
-        qc::ShardedOptions opt;
-        opt.shards = kShards;
-        opt.concurrency = threads;
-        opt.chunk_traces = 16;
-        opt.backoff_ms = 0;
-        opt.checkpoint_dir = dir.string();
-        const qc::ShardedResult sharded =
-            campaign(name, dpa, threads).sharded(opt);
-        std::filesystem::remove_all(dir);
-        ASSERT_TRUE(sharded.complete());
-        EXPECT_EQ(of(*sharded.attack), want) << "sharded";
+      for (const bool compiled : {false, true}) {
+        SCOPED_TRACE(compiled ? "engine(Compiled)" : "default engine");
+        for (const unsigned threads : {1u, 4u}) {
+          SCOPED_TRACE(std::to_string(threads) + " threads");
+          if (threads != 1 || compiled) {
+            const qc::CampaignResult r =
+                campaign(name, dpa, threads, compiled).run();
+            EXPECT_EQ(of(*r.attack), want) << "materialized";
+            EXPECT_TRUE(same_traces(r.traces, ref.traces)) << "traces";
+          }
+          EXPECT_EQ(of(*campaign(name, dpa, threads, compiled)
+                             .fused(40)
+                             .run()
+                             .attack),
+                    want)
+              << "fused";
+          const std::filesystem::path dir =
+              std::filesystem::temp_directory_path() /
+              ("qdi_outcomes_" + name + std::to_string(threads) +
+               (compiled ? "c" : "b"));
+          std::filesystem::remove_all(dir);
+          qc::ShardedOptions opt;
+          opt.shards = kShards;
+          opt.concurrency = threads;
+          opt.chunk_traces = 16;
+          opt.backoff_ms = 0;
+          opt.checkpoint_dir = dir.string();
+          const qc::ShardedResult sharded =
+              campaign(name, dpa, threads, compiled).sharded(opt);
+          std::filesystem::remove_all(dir);
+          ASSERT_TRUE(sharded.complete());
+          EXPECT_EQ(of(*sharded.attack), want) << "sharded";
+          std::vector<std::string> digests;
+          for (const qc::ShardReport& sh : sharded.shards)
+            digests.push_back(sh.digest_hex);
+          if (want_digests.empty()) want_digests = digests;
+          EXPECT_EQ(digests, want_digests) << "shard digests";
+        }
       }
 
       const qc::TargetInstance target = qc::find_target(name).build(kKey);

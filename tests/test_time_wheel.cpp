@@ -253,6 +253,39 @@ TEST(TimeWheel, InsertionIntoTheTickBeingServed) {
   q.drain();
 }
 
+TEST(TimeWheel, ABusyTickDoesNotLendItsCapacityToEveryBucket) {
+  // Every tick serves a long chain of keys scheduled into itself (delay
+  // below the tick width) ahead of a key still waiting in it, as lanes
+  // of the batch kernel that drift apart do; the ready batch grows to
+  // the chain's length. Over four laps of the wheel that capacity must
+  // stay with the ready batch instead of reaching every bucket: only
+  // two keys are ever queued ahead.
+  qs::TimeWheel<MergedKey, MergedEarlier> w(10.0, 30.0);  // 40 ps ticks
+  ASSERT_EQ(w.num_buckets(), 64u);
+  constexpr std::size_t kChain = 1000;
+  const auto queue_tick = [&w](int tick) {
+    w.push({40.0 * tick + 1.0, 0});   // head
+    w.push({40.0 * tick + 39.0, 0});  // tail, served after the chain
+  };
+  queue_tick(0);
+  double last = 0.0;
+  for (int tick = 0; tick < 4 * 64; ++tick) {
+    queue_tick(tick + 1);
+    MergedKey k = w.pop();
+    for (std::size_t i = 0; i < kChain; ++i) {
+      w.push({k.t_ps + 0.01, static_cast<std::uint32_t>(i + 1)});
+      k = w.pop();
+      ASSERT_GT(k.t_ps, last);
+      last = k.t_ps;
+    }
+    k = w.pop();
+    ASSERT_EQ(k.t_ps, 40.0 * tick + 39.0);
+    last = k.t_ps;
+  }
+  EXPECT_EQ(w.size(), 2u);
+  EXPECT_LT(w.reserved_keys(), 4 * kChain);
+}
+
 TEST(TimeWheel, ReusableAfterClear) {
   Checked<ScalarKey, ScalarEarlier> q(1.0, 1000.0);
   for (int i = 0; i < 300; ++i)

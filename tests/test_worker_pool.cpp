@@ -2,8 +2,10 @@
 // campaign entry point.
 //
 // - Segments arrive in ascending, contiguous index order, none longer
-//   than the ring (min(chunk, count) rounded up to whole source blocks),
-//   and together cover exactly [first, first + count).
+//   than the ring, and together cover exactly [first, first + count).
+//   The ring is R = min(ceil(min(chunk, count) / width),
+//   kRingBlocksPerThread * threads) source blocks, and no block k is
+//   claimed before the consumer has released block k - R.
 // - Records are bit-identical to a 1-thread acquire, for scalar and
 //   64-lane batch sources alike.
 // - No ring slot is refilled while the consumer still reads it.
@@ -39,6 +41,14 @@ struct Probe {
   std::atomic<int> in_flight{0};     ///< acquire_into calls running now
   std::atomic<long> calls{0};        ///< acquire_into calls started
   std::atomic<long> fail_index{-1};  ///< throw once when this index is hit
+  /// Ring check, when ring_traces > 0: the call's first index, the ring
+  /// in traces (R whole blocks), and the end of the consumer's finished
+  /// segments. Releasing a block follows its consume() returning, so a
+  /// block claimed too early sees consumed_end short of its bound.
+  std::size_t first = 0;
+  std::size_t ring_traces = 0;
+  std::atomic<std::size_t> consumed_end{0};
+  std::atomic<int> early_claims{0};
 };
 
 /// Trace i of campaign s is a pure function of (s, i): the pool's
@@ -55,6 +65,13 @@ class SyntheticSource final : public qc::TraceSource {
       Probe& p;
       ~Leave() { p.in_flight.fetch_sub(1); }
     } leave{*probe_};
+    const std::size_t block_lo =
+        req.index - (req.index - probe_->first) % width_;
+    if (probe_->ring_traces > 0 &&
+        block_lo >= probe_->first + probe_->ring_traces &&
+        probe_->consumed_end.load() <
+            block_lo - probe_->ring_traces + width_)
+      probe_->early_claims.fetch_add(1);
     long expected = static_cast<long>(req.index);
     if (probe_->fail_index.compare_exchange_strong(expected, -1))
       throw std::runtime_error("source fault at " + std::to_string(req.index));
@@ -128,35 +145,50 @@ TEST(WorkerPool, SegmentsAreOrderedContiguousAndBoundedByTheRing) {
       for (const std::size_t chunk : {1, 7, 64, 100, 1024}) {
         for (const std::size_t count : {1, 5, 70, 131, 300}) {
           const std::size_t first = 3;
-          const std::size_t ring =
-              (std::min(chunk, count) + width - 1) / width * width;
+          const std::size_t ring_blocks =
+              std::min((std::min(chunk, count) + width - 1) / width,
+                       qc::WorkerPool::kRingBlocksPerThread * threads);
+          probe->first = first;
+          probe->ring_traces = ring_blocks * width;
+          probe->consumed_end.store(first);
+          probe->early_claims.store(0);
           std::size_t next = first;
           std::size_t transitions = 0;
+          std::size_t segments = 0;
           qc::AcquisitionStats st;
           pool.acquire_segments(
               first, count, kSeed, chunk,
               [&](std::span<const qc::AcquiredTrace> records, std::size_t lo) {
                 ASSERT_EQ(lo, next);
                 ASSERT_GE(records.size(), 1u);
-                ASSERT_LE(records.size(), ring);
+                ASSERT_LE(records.size(), probe->ring_traces);
                 for (std::size_t k = 0; k < records.size(); ++k) {
                   ASSERT_EQ(fingerprint(records[k]), reference(kSeed, lo + k))
                       << "index " << lo + k;
                   transitions += records[k].transitions;
                 }
                 next += records.size();
+                // Now and then hold the segment so the workers run into
+                // the ring's bound.
+                if (++segments % 4 == 0)
+                  std::this_thread::sleep_for(std::chrono::microseconds(200));
+                probe->consumed_end.store(next);
               },
               &st);
           SCOPED_TRACE(testing::Message() << "width " << width << " threads "
                                           << threads << " chunk " << chunk
                                           << " count " << count);
           EXPECT_EQ(next, first + count);
+          EXPECT_EQ(probe->early_claims.load(), 0)
+              << "a block was claimed before block k - R was released";
           EXPECT_EQ(st.transitions, transitions);
+          EXPECT_EQ(st.engine, "synthetic");
           const std::size_t blocks = (count + width - 1) / width;
           EXPECT_EQ(st.threads_used, std::min<std::size_t>(threads, blocks));
           EXPECT_EQ(probe->in_flight.load(), 0);
         }
       }
+      probe->ring_traces = 0;
     }
   }
 }
